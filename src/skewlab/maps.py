@@ -400,6 +400,20 @@ def power_apply(m: TwistMap, e: int, a: RingElement) -> RingElement:
     return a
 
 
+def power_table(m: TwistMap, a: RingElement, lo: int, hi: int) -> dict:
+    """``{e: m^e(a)}`` for every ``e`` between ``min(lo, 0)`` and ``max(hi,
+    0)``, walking out from ``a`` with one ``apply`` or ``apply_inverse`` per
+    step instead of :func:`power_apply` from scratch for each ``e``."""
+    table = {0: a}
+    t = a
+    for e in range(1, hi + 1):
+        t = table[e] = m.apply(t)
+    t = a
+    for e in range(-1, lo - 1, -1):
+        t = table[e] = m.apply_inverse(t)
+    return table
+
+
 def verify_additive(m: TwistMap, trials: int, seed: int = 0) -> CheckReport:
     rng = Random(seed)
     for _ in range(trials):

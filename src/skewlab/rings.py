@@ -760,16 +760,6 @@ def random_element(descriptor: RingDescriptor, rng: Random) -> RingElement:
     return RingElement(descriptor, descriptor.sample_value(rng))
 
 
-def supports_inverse(descriptor: RingDescriptor) -> bool:
-    if isinstance(descriptor, Rationals):
-        return True
-    return (
-        isinstance(descriptor, CayleyDickson)
-        and descriptor.base == RATIONALS
-        and descriptor.level <= 3
-    )
-
-
 def is_associative_division_ring(descriptor: RingDescriptor) -> bool:
     """True for the rationals and the complex/quaternion levels over them."""
     if isinstance(descriptor, Rationals):

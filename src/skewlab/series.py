@@ -29,15 +29,13 @@ from .rings import (
     random_element,
     zero,
 )
-from .skewpoly import LaurentContext, OreContext, _x_text, render_terms_text
-
-
-def _series_ring(ctx):
-    return ctx.ring
-
-
-def _series_sigma(ctx):
-    return ctx.sigma
+from .skewpoly import (
+    LaurentContext,
+    OreContext,
+    _x_text,
+    render_terms_text,
+    twisted_product,
+)
 
 
 def _validate_series_context(ctx):
@@ -68,7 +66,7 @@ class TruncatedSeries:
     @classmethod
     def make(cls, context, start: int, coefficients, precision: int):
         _validate_series_context(context)
-        ring = _series_ring(context)
+        ring = context.ring
         coefficients = tuple(coefficients)
         if start + len(coefficients) != precision:
             raise ValueError("window length must equal precision - start")
@@ -87,7 +85,7 @@ class TruncatedSeries:
     @classmethod
     def from_terms(cls, context, pairs, precision: int):
         """Exact finite terms viewed through a window of the given precision."""
-        ring = _series_ring(context)
+        ring = context.ring
         acc = {}
         for e, c in pairs:
             if e < precision:
@@ -109,13 +107,13 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, context, precision: int):
-        return cls.from_terms(context, [(0, one(_series_ring(context)))], precision)
+        return cls.from_terms(context, [(0, one(context.ring))], precision)
 
     def coefficient(self, e: int) -> RingElement:
         if e >= self.precision:
             raise ValueError(f"coefficient of X^{e} is beyond this precision")
         if e < self.start:
-            return zero(_series_ring(self.context))
+            return zero(self.context.ring)
         return self.coefficients[e - self.start]
 
     def order(self):
@@ -149,7 +147,6 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._require_same_context(other)
-        ring = _series_ring(self.context)
         precision = min(self.precision, other.precision)
         start = min(self.start, other.start, precision)
         coeffs = [
@@ -160,7 +157,7 @@ class TruncatedSeries:
     def _padded(self, e: int) -> RingElement:
         if self.start <= e < self.precision:
             return self.coefficients[e - self.start]
-        return zero(_series_ring(self.context))
+        return zero(self.context.ring)
 
     def __neg__(self):
         return TruncatedSeries(
@@ -179,14 +176,17 @@ class TruncatedSeries:
     def is_exhausted(self) -> bool:
         return self.order() is None
 
-    def __str__(self):
-        terms = [
+    def nonzero_terms(self) -> list[tuple[int, RingElement]]:
+        """The known nonzero ``(exponent, coefficient)`` pairs, ascending."""
+        return [
             (self.start + i, c)
             for i, c in enumerate(self.coefficients)
             if not c.is_zero()
         ]
+
+    def __str__(self):
         body = render_terms_text(
-            _series_ring(self.context), terms, lambda e: _x_text("X", e)
+            self.context.ring, self.nonzero_terms(), lambda e: _x_text("X", e)
         )
         tail = f"O(X^{self.precision})"
         return tail if body == "0" else f"{body} + {tail}"
@@ -195,29 +195,17 @@ class TruncatedSeries:
         return f"<TruncatedSeries {self}>"
 
 
+def _exact_below(ctx, left, right, precision: int) -> TruncatedSeries:
+    """The product of two term lists, kept below ``precision``."""
+    terms = twisted_product(ctx, left, right, limit=precision)
+    return TruncatedSeries.from_terms(ctx, terms, precision)
+
+
 def series_mul(p: TruncatedSeries, q: TruncatedSeries) -> TruncatedSeries:
     """Product, exact below ``min(p.precision + q.start, q.precision + p.start)``."""
     p._require_same_context(q)
-    ctx = p.context
-    ring = _series_ring(ctx)
-    sigma = _series_sigma(ctx)
     precision = min(p.precision + q.start, q.precision + p.start)
-    start = min(p.start + q.start, precision)
-    acc = {e: zero(ring) for e in range(start, precision)}
-    for i, r in enumerate(p.coefficients):
-        m = p.start + i
-        if r.is_zero():
-            continue
-        for jdx, s in enumerate(q.coefficients):
-            n = q.start + jdx
-            e = m + n
-            if e >= precision:
-                break
-            if s.is_zero():
-                continue
-            acc[e] = acc[e] + r * power_apply(sigma, m, s)
-    coeffs = [acc[e] for e in range(start, precision)]
-    return TruncatedSeries.make(ctx, start, coeffs, precision)
+    return _exact_below(p.context, p.nonzero_terms(), q.nonzero_terms(), precision)
 
 
 def shift_scale(g: TruncatedSeries, k: RingElement, e: int) -> TruncatedSeries:
@@ -227,40 +215,23 @@ def shift_scale(g: TruncatedSeries, k: RingElement, e: int) -> TruncatedSeries:
     ``g.precision + e``: each term maps ``(g_m X^m)(k X^e) = (g_m sigma^m(k))
     X^(m+e)``.
     """
-    ctx = g.context
-    sigma = _series_sigma(ctx)
-    coeffs = [
-        g.coefficients[i] * power_apply(sigma, g.start + i, k)
-        for i in range(len(g.coefficients))
-    ]
-    return TruncatedSeries.make(ctx, g.start + e, coeffs, g.precision + e)
+    return _exact_below(g.context, g.nonzero_terms(), [(e, k)], g.precision + e)
 
 
 def poly_times_series(p, s: TruncatedSeries) -> TruncatedSeries:
     """Exact polynomial (left) times series: known below ``s.precision +
     order(p)`` since every contributing left factor is exact."""
-    ctx = s.context
-    sigma = _series_sigma(ctx)
     if p.is_zero():
-        return TruncatedSeries.zero_window(ctx, s.precision)
-    acc = None
-    for m, r in p.terms:
-        coeffs = [r * power_apply(sigma, m, c) for c in s.coefficients]
-        w = TruncatedSeries.make(ctx, s.start + m, coeffs, s.precision + m)
-        acc = w if acc is None else acc + w
-    return acc
+        return TruncatedSeries.zero_window(s.context, s.precision)
+    return _exact_below(s.context, p.terms, s.nonzero_terms(), s.precision + p.order())
 
 
 def series_times_poly(s: TruncatedSeries, p) -> TruncatedSeries:
-    """Series times exact polynomial (right): a sum of shift-scale products,
-    known below ``s.precision + order(p)``."""
+    """Series times exact polynomial (right): known below ``s.precision +
+    order(p)``, each right term acting as in :func:`shift_scale`."""
     if p.is_zero():
         return TruncatedSeries.zero_window(s.context, s.precision)
-    acc = None
-    for e, k in p.terms:
-        w = shift_scale(s, k, e)
-        acc = w if acc is None else acc + w
-    return acc
+    return _exact_below(s.context, s.nonzero_terms(), p.terms, s.precision + p.order())
 
 
 def series_order(p: TruncatedSeries):
@@ -288,13 +259,11 @@ def series_reduce_step(
     whose order does not exceed ``order(q)`` is used.
     """
     ctx = q.context
-    ring = _series_ring(ctx)
-    if not is_associative_division_ring(ring):
+    if not is_associative_division_ring(ctx.ring):
         raise UnsupportedDescriptor(
             "series reduction needs an associative division coefficient ring"
         )
-    sigma = _series_sigma(ctx)
-    if not sigma.has_inverse:
+    if not ctx.sigma.has_inverse:
         raise ValueError("series reduction needs a sigma preimage chooser")
     oq = q.order()
     if oq is None:
@@ -313,7 +282,7 @@ def series_reduce_step(
     d = g.order()
     c = g.leading_coefficient()
     r = q.leading_coefficient()
-    k = power_apply(sigma, -d, c.inverse() * r)
+    k = power_apply(ctx.sigma, -d, c.inverse() * r)
     shift = oq - d
     q2 = q - shift_scale(g, k, shift)
     new_order = q2.order()
@@ -356,10 +325,9 @@ def agree_below(a: TruncatedSeries, b: TruncatedSeries, bound: int) -> bool:
 
 def random_series(ctx, rng: Random, precision: int, min_exp: int = 0,
                   max_terms: int = 3) -> TruncatedSeries:
-    ring = _series_ring(ctx)
     terms = []
     for _ in range(rng.randint(0, max_terms)):
         terms.append(
-            (rng.randint(min_exp, precision - 1), random_element(ring, rng))
+            (rng.randint(min_exp, precision - 1), random_element(ctx.ring, rng))
         )
     return TruncatedSeries.from_terms(ctx, terms, precision)

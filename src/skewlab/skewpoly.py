@@ -10,8 +10,18 @@ Two one-variable constructions share the carrier "sorted term list":
 
 Multiplication in either ring is generally non-associative; powers of X sit
 in the middle and right nuclei, which :func:`nucleus_check_power` samples.
-An iterated multi-variable Laurent ring over pairwise-commuting twists stores
-flattened exponent vectors.
+An iterated multi-variable Laurent ring over pairwise-commuting twists uses
+the same carrier with exponent vectors.
+
+Every product, here and in :mod:`skewlab.series`, runs through one kernel,
+:func:`twisted_product`. It visits the right factor's terms and, for each
+right coefficient ``s``, has the context build a twist table once, up to the
+left factor's largest exponent ``d``. For an Ore context that is one sparse
+:func:`pi_rows` pass: two map applications per nonzero ``pi_i^m(s)`` with
+``m < d``, or just ``d`` sigma applications when delta is zero. For a
+Laurent context it is one walk of sigma powers, one application or inverse
+application per step. The coefficient products are one per left term and
+nonzero table entry. Nothing is recomputed per term pair.
 
 Polynomials are immutable; the degree of the zero polynomial is the
 ``NEG_INFINITY`` sentinel (and its order ``POS_INFINITY``), never an integer.
@@ -20,6 +30,7 @@ Polynomials are immutable; the degree of the zero polynomial is the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from random import Random
 
 from .maps import (
@@ -29,6 +40,7 @@ from .maps import (
     NoInverse,
     TwistMap,
     power_apply,
+    power_table,
 )
 from .reports import CheckReport, no_violation_message
 from .rings import (
@@ -73,6 +85,18 @@ class OreContext:
         if not self.delta.apply(one(self.ring)).is_zero():
             raise ValueError("delta(1) != 0")
 
+    def twists(self, s: RingElement, n: int, exponents) -> dict:
+        """``{m: [(i + n, pi_i^m(s)), ...]}`` for each left exponent ``m``,
+        nonzero entries only, from one :func:`pi_rows` pass."""
+        wanted = set(exponents)
+        top = max(wanted)
+        table = {}
+        for m, row in enumerate(pi_rows(self, s)):
+            if m in wanted:
+                table[m] = [(i + n, v) for i, v in row.items()]
+            if m == top:
+                return table
+
 
 @dataclass(frozen=True)
 class LaurentContext:
@@ -94,6 +118,11 @@ class LaurentContext:
             a = random_element(self.ring, rng)
             if self.sigma.apply_inverse(self.sigma.apply(a)) != a:
                 raise ValueError(f"sigma inverse round trip failed at {a}")
+
+    def twists(self, s: RingElement, n: int, exponents) -> dict:
+        """``{m: [(m + n, sigma^m(s))]}`` from one walk of sigma powers."""
+        powers = power_table(self.sigma, s, min(exponents), max(exponents))
+        return {m: [(m + n, powers[m])] for m in exponents}
 
 
 @dataclass(frozen=True)
@@ -126,53 +155,103 @@ class IteratedLaurentContext:
                             f"sigmas {i} and {j} fail to commute at {a}"
                         )
 
+    def twists(self, s: RingElement, n: tuple, exponents) -> dict:
+        """``{u: [(u + n, sigma_1^(u_1) o ... o sigma_k^(u_k) (s))]}`` with
+        exponent vectors added entrywise."""
+        values = _compose_powers(self.sigmas, s, exponents)
+        return {
+            u: [(tuple(a + b for a, b in zip(u, n)), values[u])] for u in exponents
+        }
 
-def pi_row(ctx: OreContext, m: int, s: RingElement) -> list[RingElement]:
-    """All values ``[pi_0^m(s), ..., pi_m^m(s)]`` by the two-term recursion.
+
+def _compose_powers(sigmas, s: RingElement, vectors) -> dict:
+    """``{u: sigma_1^(u_1)(... sigma_k^(u_k)(s))}`` for every vector ``u``, the
+    last variable's map acting first. Pairwise commutation makes the order
+    immaterial; each variable's powers are walked once per distinct tail."""
+    if not sigmas:
+        return {(): s}
+    last = [u[-1] for u in vectors]
+    powers = power_table(sigmas[-1], s, min(last), max(last))
+    out = {}
+    for k in sorted(set(last)):
+        heads = [u[:-1] for u in vectors if u[-1] == k]
+        for head, v in _compose_powers(sigmas[:-1], powers[k], heads).items():
+            out[head + (k,)] = v
+    return out
+
+
+def pi_rows(ctx: OreContext, s: RingElement):
+    """Yield the sparse rows ``{i: pi_i^m(s)}`` for ``m = 0, 1, 2, ...``.
 
     Peeling the first letter of each sigma/delta word gives
-    ``pi_i^m = sigma . pi_(i-1)^(m-1) + delta . pi_i^(m-1)``, so one dynamic
-    programming pass per element replaces the C(m, i) word sum.
+    ``pi_i^m = sigma . pi_(i-1)^(m-1) + delta . pi_i^(m-1)``, so each row
+    follows from the one before at two map applications per stored entry.
+    Zero entries are never stored, so they are never sent to sigma or delta.
+    When delta is the zero map each row is the single entry ``{m:
+    sigma^m(s)}`` and costs one ``sigma`` application.
+    """
+    sigma, delta = ctx.sigma, ctx.delta
+    has_delta = delta.kind != "zero"
+    row = {} if s.is_zero() else {0: s}
+    while True:
+        yield row
+        nxt: dict[int, RingElement] = {}
+        for i, v in row.items():
+            t = sigma.apply(v)
+            nxt[i + 1] = nxt[i + 1] + t if i + 1 in nxt else t
+            if has_delta:
+                t = delta.apply(v)
+                nxt[i] = nxt[i] + t if i in nxt else t
+        row = {i: v for i, v in nxt.items() if not v.is_zero()}
+
+
+def pi_row(ctx: OreContext, m: int, s: RingElement) -> dict[int, RingElement]:
+    """The nonzero values ``{i: pi_i^m(s)}`` of row ``m``.
+
+    Costs the ``m`` sparse row steps of :func:`pi_rows`; products never call
+    it, since they take every row they need from a single pass per right
+    coefficient.
     """
     if m < 0:
         raise ValueError("m must be a natural number")
-    row = [s]
-    for _ in range(m):
-        prev = row
-        row = []
-        for i in range(len(prev) + 1):
-            parts = []
-            if i >= 1:
-                parts.append(ctx.sigma.apply(prev[i - 1]))
-            if i < len(prev):
-                parts.append(ctx.delta.apply(prev[i]))
-            acc = parts[0]
-            for p in parts[1:]:
-                acc = acc + p
-            row.append(acc)
-    return row
+    return next(islice(pi_rows(ctx, s), m, None))
 
 
 def pi(ctx: OreContext, m: int, i: int, s: RingElement) -> RingElement:
     """``pi_i^m(s)``; zero whenever ``i`` falls outside ``0..m``."""
     if i < 0 or i > m:
         return zero(ctx.ring)
-    return pi_row(ctx, m, s)[i]
+    return pi_row(ctx, m, s).get(i, zero(ctx.ring))
 
 
-def _canon_terms(ring: RingDescriptor, pairs, allow_negative: bool):
-    acc: dict[int, RingElement] = {}
+def _sum_terms(pairs) -> tuple:
+    """Coefficients summed per exponent, zeros dropped, ascending exponents."""
+    acc: dict = {}
     for e, c in pairs:
-        if not isinstance(e, int):
-            raise ValueError(f"exponent must be an integer, got {e!r}")
-        if not allow_negative and e < 0:
-            raise ValueError("negative exponents are not allowed here")
-        if not isinstance(c, RingElement):
-            raise TypeError("coefficients must be RingElements")
-        if c.descriptor != ring:
-            raise ContextMismatch("coefficient descriptor does not match the ring")
         acc[e] = acc[e] + c if e in acc else c
     return tuple(sorted((e, c) for e, c in acc.items() if not c.is_zero()))
+
+
+def twisted_product(ctx, left, right, limit=None) -> tuple:
+    """Canonical ``(exponent, coefficient)`` terms of the biadditive product
+    of two term lists.
+
+    Each right term ``(n, s)`` asks the context for its twist table once;
+    ``ctx.twists(s, n, ms)`` maps each left exponent ``m`` to the pairs
+    ``(e, t)`` with ``(r X^m)(s X^n) = sum r t X^e``. With ``limit`` (series
+    windows, where ``e = m + n``) pairs with ``m + n >= limit`` are skipped.
+    """
+
+    def products():
+        for n, s in right:
+            live = left if limit is None else [(m, r) for m, r in left if m + n < limit]
+            if live:
+                table = ctx.twists(s, n, [m for m, _ in live])
+                for m, r in live:
+                    for e, t in table[m]:
+                        yield e, r * t
+
+    return _sum_terms(products())
 
 
 @dataclass(frozen=True)
@@ -186,8 +265,24 @@ class _TermPoly:
     _indeterminate = "X"
 
     @classmethod
+    def _exponent(cls, context, e):
+        if not isinstance(e, int):
+            raise ValueError(f"exponent must be an integer, got {e!r}")
+        if not cls._allow_negative and e < 0:
+            raise ValueError("negative exponents are not allowed here")
+        return e
+
+    @classmethod
     def from_terms(cls, context, pairs):
-        return cls(context, _canon_terms(context.ring, pairs, cls._allow_negative))
+        checked = []
+        for e, c in pairs:
+            e = cls._exponent(context, e)
+            if not isinstance(c, RingElement):
+                raise TypeError("coefficients must be RingElements")
+            if c.descriptor != context.ring:
+                raise ContextMismatch("coefficient descriptor does not match the ring")
+            checked.append((e, c))
+        return cls(context, _sum_terms(checked))
 
     @classmethod
     def zero(cls, context):
@@ -219,14 +314,7 @@ class _TermPoly:
 
     def __add__(self, other):
         self._require_same_context(other)
-        return self.__class__(
-            self.context,
-            _canon_terms(
-                self.context.ring,
-                list(self.terms) + list(other.terms),
-                self._allow_negative,
-            ),
-        )
+        return self.__class__(self.context, _sum_terms(self.terms + other.terms))
 
     def __neg__(self):
         return self.__class__(
@@ -235,6 +323,12 @@ class _TermPoly:
 
     def __sub__(self, other):
         return self + (-other)
+
+    def __mul__(self, other):
+        self._require_same_context(other)
+        return self.__class__(
+            self.context, twisted_product(self.context, self.terms, other.terms)
+        )
 
     def __bool__(self):
         return bool(self.terms)
@@ -261,10 +355,11 @@ class _TermPoly:
                 return c
         return zero(self.context.ring)
 
+    def _power_text(self, e) -> str:
+        return _x_text(self._indeterminate, e)
+
     def __str__(self):
-        return render_terms_text(
-            self.context.ring, self.terms, lambda e: _x_text(self._indeterminate, e)
-        )
+        return render_terms_text(self.context.ring, self.terms, self._power_text)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self}>"
@@ -305,47 +400,14 @@ class OrePoly(_TermPoly):
 
     _allow_negative = False
 
-    def __mul__(self, other):
-        self._require_same_context(other)
-        ctx = self.context
-        acc: dict[int, RingElement] = {}
-        for m, r in self.terms:
-            for n, s in other.terms:
-                row = pi_row(ctx, m, s)
-                for i, val in enumerate(row):
-                    c = r * val
-                    if c.is_zero():
-                        continue
-                    e = i + n
-                    acc[e] = acc[e] + c if e in acc else c
-        return OrePoly(
-            ctx, tuple(sorted((e, c) for e, c in acc.items() if not c.is_zero()))
-        )
-
 
 class LaurentPoly(_TermPoly):
     """Element of the skew Laurent ring; exponents range over the integers."""
 
     _allow_negative = True
 
-    def __mul__(self, other):
-        self._require_same_context(other)
-        ctx = self.context
-        acc: dict[int, RingElement] = {}
-        for m, r in self.terms:
-            for n, s in other.terms:
-                c = r * power_apply(ctx.sigma, m, s)
-                if c.is_zero():
-                    continue
-                e = m + n
-                acc[e] = acc[e] + c if e in acc else c
-        return LaurentPoly(
-            ctx, tuple(sorted((e, c) for e, c in acc.items() if not c.is_zero()))
-        )
 
-
-@dataclass(frozen=True)
-class MultiLaurentPoly:
+class MultiLaurentPoly(_TermPoly):
     """Iterated Laurent element: finitely supported exponent-vector terms.
 
     The product twists the right coefficient by ``sigma_1^(u_1) o ... o
@@ -353,98 +415,29 @@ class MultiLaurentPoly:
     makes the nesting order immaterial.
     """
 
-    context: IteratedLaurentContext
-    terms: tuple[tuple[tuple[int, ...], RingElement], ...]
-
     @classmethod
-    def from_terms(cls, context, pairs):
+    def _exponent(cls, context, e):
         width = len(context.sigmas)
-        acc: dict[tuple[int, ...], RingElement] = {}
-        for exps, c in pairs:
-            exps = tuple(exps)
-            if len(exps) != width or not all(isinstance(e, int) for e in exps):
-                raise ValueError(f"exponent vector must have {width} integers")
-            if c.descriptor != context.ring:
-                raise ContextMismatch("coefficient descriptor mismatch")
-            acc[exps] = acc[exps] + c if exps in acc else c
-        return cls(
-            context, tuple(sorted((e, c) for e, c in acc.items() if not c.is_zero()))
-        )
-
-    @classmethod
-    def zero(cls, context):
-        return cls(context, ())
+        e = tuple(e)
+        if len(e) != width or not all(isinstance(x, int) for x in e):
+            raise ValueError(f"exponent vector must have {width} integers")
+        return e
 
     @classmethod
     def constant(cls, context, coeff: RingElement):
-        width = len(context.sigmas)
-        return cls.from_terms(context, [((0,) * width, coeff)])
-
-    @classmethod
-    def one(cls, context):
-        return cls.constant(context, one(context.ring))
+        return cls.from_terms(context, [((0,) * len(context.sigmas), coeff)])
 
     @classmethod
     def variable(cls, context, index: int, exponent: int = 1):
         """The monomial ``X_(index+1) ^ exponent``."""
-        width = len(context.sigmas)
-        exps = [0] * width
+        exps = [0] * len(context.sigmas)
         exps[index] = exponent
         return cls.from_terms(context, [(tuple(exps), one(context.ring))])
 
-    def _require_same_context(self, other):
-        if not isinstance(other, MultiLaurentPoly) or self.context != other.context:
-            raise ContextMismatch("polynomials come from different contexts")
-
-    def __add__(self, other):
-        self._require_same_context(other)
-        return MultiLaurentPoly.from_terms(
-            self.context, list(self.terms) + list(other.terms)
+    def _power_text(self, exps) -> str:
+        return "*".join(
+            _x_text(f"X{i + 1}", e) for i, e in enumerate(exps) if e != 0
         )
-
-    def __neg__(self):
-        return MultiLaurentPoly(
-            self.context, tuple((e, -c) for e, c in self.terms)
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __mul__(self, other):
-        self._require_same_context(other)
-        ctx = self.context
-        acc: dict[tuple[int, ...], RingElement] = {}
-        for u, r in self.terms:
-            for v, s in other.terms:
-                t = s
-                for sig, e in reversed(list(zip(ctx.sigmas, u))):
-                    t = power_apply(sig, e, t)
-                c = r * t
-                if c.is_zero():
-                    continue
-                w = tuple(a + b for a, b in zip(u, v))
-                acc[w] = acc[w] + c if w in acc else c
-        return MultiLaurentPoly(
-            ctx, tuple(sorted((e, c) for e, c in acc.items() if not c.is_zero()))
-        )
-
-    def __str__(self):
-        def x_text(exps):
-            pieces = [
-                _x_text(f"X{i + 1}", e) for i, e in enumerate(exps) if e != 0
-            ]
-            return "*".join(pieces)
-
-        return render_terms_text(self.context.ring, self.terms, x_text)
-
-    def __repr__(self):
-        return f"<MultiLaurentPoly {self}>"
 
 
 def poly_associator(p, q, r):

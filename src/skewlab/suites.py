@@ -47,6 +47,8 @@ def run_suite(name: str, session: Session | None, trials: int, seed: int,
         raise ConfigError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         ) from None
+    if trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {trials}")
     if name != "counterexample" and session is None:
         raise ConfigError(f"suite {name!r} needs a --config session")
     return runner(session, trials, seed, options)

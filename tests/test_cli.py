@@ -207,6 +207,18 @@ def test_usage_and_parse_errors_exit_two(capsys, cfg, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "suite, trials", [("nucleus", "-1"), ("ring-axioms", "0"), ("counterexample", "0")]
+)
+def test_check_rejects_trial_counts_below_one(capsys, cfg, suite, trials):
+    code, out, err = run(
+        capsys, ["check", suite, "--config", cfg(WEYL), "--trials", trials]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --trials must be at least 1, got {trials}\n"
+
+
 def test_divide_requires_ore(capsys, cfg):
     code, _, err = run(capsys, ["divide", "--config", cfg(SIGMA2), "X", "i"])
     assert code == 2 and "ore structure" in err

@@ -1,0 +1,280 @@
+"""The shared twisted-product kernel against pair-by-pair references.
+
+Every product in skewlab goes through ``skewpoly.twisted_product``, which
+builds one twist table per right coefficient. The references here rebuild
+each product one term pair at a time from definitions that share no code
+with the kernel:
+
+* Ore: the dense sigma/delta word enumeration ``pi_by_words``;
+* Laurent and iterated Laurent: ``power_apply`` per pair;
+* series: a naive windowed double loop over the stored coefficients.
+
+The work-count tests wrap sigma and delta in a counting map and bound the
+number of map applications a product may spend; they never look at time.
+"""
+
+from random import Random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skewlab.maps import (
+    CoefficientDoubler,
+    ConjugationMap,
+    FormalDerivative,
+    IdentityMap,
+    QuantumTorusSigma,
+    SigmaQComplex,
+    TwistMap,
+    ZeroMap,
+    power_apply,
+)
+from skewlab.rings import (
+    COMPLEX_Q,
+    QUATERNIONS_Q,
+    Poly1,
+    basis_element,
+    monomial_element,
+    random_element,
+    scalar,
+)
+from skewlab.series import (
+    TruncatedSeries,
+    poly_times_series,
+    series_mul,
+    series_times_poly,
+    shift_scale,
+)
+from skewlab.skewpoly import (
+    IteratedLaurentContext,
+    LaurentContext,
+    LaurentPoly,
+    MultiLaurentPoly,
+    OreContext,
+    OrePoly,
+)
+from test_skewpoly import pi_by_words
+
+P1 = Poly1()
+QUAT = QUATERNIONS_Q
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+WEYL = OreContext(P1, IdentityMap(P1), FormalDerivative(P1))
+DOUBLER = OreContext(P1, CoefficientDoubler(P1), FormalDerivative(P1))
+QUAT_ORE = OreContext(QUAT, ConjugationMap(QUAT), ZeroMap(QUAT))
+SIGMA2 = LaurentContext(COMPLEX_Q, SigmaQComplex(2))
+QUAT_LAURENT = LaurentContext(QUAT, ConjugationMap(QUAT))
+TORUS = IteratedLaurentContext(P1, (QuantumTorusSigma(2, P1), IdentityMap(P1)))
+COMPLEX_PAIR = IteratedLaurentContext(
+    COMPLEX_Q, (SigmaQComplex(2), SigmaQComplex(-3))
+)
+
+
+def coefficients(ring):
+    return st.integers(0, 2**32).map(lambda k: random_element(ring, Random(k)))
+
+
+def term_lists(ring, exponents, max_terms=4):
+    return st.lists(st.tuples(exponents, coefficients(ring)), max_size=max_terms)
+
+
+def polys(cls, ctx, lo, hi, max_terms=4):
+    return term_lists(ctx.ring, st.integers(lo, hi), max_terms).map(
+        lambda pairs: cls.from_terms(ctx, pairs)
+    )
+
+
+def multi_polys(ctx, bound=3):
+    vectors = st.tuples(*[st.integers(-bound, bound) for _ in ctx.sigmas])
+    return term_lists(ctx.ring, vectors).map(
+        lambda pairs: MultiLaurentPoly.from_terms(ctx, pairs)
+    )
+
+
+def windows(ctx, lo, precision):
+    terms = term_lists(ctx.ring, st.integers(lo, precision - 1), max_terms=6)
+    return terms.map(lambda pairs: TruncatedSeries.from_terms(ctx, pairs, precision))
+
+
+# --- pair-by-pair references --------------------------------------------------
+
+def ore_reference(p, q):
+    ctx = p.context
+    pairs = [
+        (i + n, r * pi_by_words(ctx, m, i, s))
+        for m, r in p.terms
+        for n, s in q.terms
+        for i in range(m + 1)
+    ]
+    return OrePoly.from_terms(ctx, pairs)
+
+
+def laurent_reference(p, q):
+    sigma = p.context.sigma
+    pairs = [
+        (m + n, r * power_apply(sigma, m, s)) for m, r in p.terms for n, s in q.terms
+    ]
+    return LaurentPoly.from_terms(p.context, pairs)
+
+
+def multi_reference(p, q):
+    pairs = []
+    for u, r in p.terms:
+        for v, s in q.terms:
+            t = s
+            for sigma, e in reversed(list(zip(p.context.sigmas, u))):
+                t = power_apply(sigma, e, t)
+            pairs.append((tuple(a + b for a, b in zip(u, v)), r * t))
+    return MultiLaurentPoly.from_terms(p.context, pairs)
+
+
+def windowed_reference(ctx, left, right, precision):
+    """``left`` times ``right`` (``(exponent, coefficient)`` pairs, zeros
+    included) kept below ``precision``, one ``power_apply`` per pair."""
+    pairs = [
+        (m + n, r * power_apply(ctx.sigma, m, s))
+        for m, r in left
+        for n, s in right
+        if m + n < precision
+    ]
+    return TruncatedSeries.from_terms(ctx, pairs, precision)
+
+
+def stored(p: TruncatedSeries):
+    return [(p.start + i, c) for i, c in enumerate(p.coefficients)]
+
+
+# --- Ore ---------------------------------------------------------------------
+
+@SETTINGS
+@given(st.data())
+def test_ore_products_match_word_enumeration(data):
+    for ctx in (WEYL, DOUBLER, QUAT_ORE):
+        p = data.draw(polys(OrePoly, ctx, 0, 5))
+        q = data.draw(polys(OrePoly, ctx, 0, 3))
+        assert p * q == ore_reference(p, q)
+
+
+# --- Laurent -----------------------------------------------------------------
+
+@SETTINGS
+@given(st.data())
+def test_laurent_products_match_pairwise_powers(data):
+    for ctx in (SIGMA2, QUAT_LAURENT):
+        p = data.draw(polys(LaurentPoly, ctx, -6, 6))
+        q = data.draw(polys(LaurentPoly, ctx, -6, 6))
+        assert p * q == laurent_reference(p, q)
+
+
+@SETTINGS
+@given(st.data())
+def test_iterated_products_match_pairwise_powers(data):
+    for ctx in (TORUS, COMPLEX_PAIR):
+        p = data.draw(multi_polys(ctx))
+        q = data.draw(multi_polys(ctx))
+        assert p * q == multi_reference(p, q)
+
+
+# --- series ------------------------------------------------------------------
+
+@SETTINGS
+@given(st.data())
+def test_series_products_match_naive_window(data):
+    for ctx, lo in ((QUAT_ORE, 0), (QUAT_LAURENT, -4), (SIGMA2, -4)):
+        p = data.draw(windows(ctx, lo, data.draw(st.integers(1, 10))))
+        q = data.draw(windows(ctx, lo, data.draw(st.integers(1, 10))))
+        precision = min(p.precision + q.start, q.precision + p.start)
+        assert series_mul(p, q) == windowed_reference(ctx, stored(p), stored(q), precision)
+
+
+@SETTINGS
+@given(st.data())
+def test_exact_factor_series_products_match_naive_window(data):
+    for ctx, lo, cls in ((QUAT_ORE, 0, OrePoly), (QUAT_LAURENT, -4, LaurentPoly)):
+        s = data.draw(windows(ctx, lo, 8))
+        p = data.draw(polys(cls, ctx, lo, 4))
+        k = data.draw(coefficients(ctx.ring))
+        e = data.draw(st.integers(lo, 4))
+        assert shift_scale(s, k, e) == windowed_reference(
+            ctx, stored(s), [(e, k)], s.precision + e
+        )
+        if p.is_zero():
+            continue
+        precision = s.precision + p.order()
+        assert poly_times_series(p, s) == windowed_reference(
+            ctx, p.terms, stored(s), precision
+        )
+        assert series_times_poly(s, p) == windowed_reference(
+            ctx, stored(s), p.terms, precision
+        )
+
+
+# --- work counts ---------------------------------------------------------------
+
+class CountingMap(TwistMap):
+    """Forwards to ``base`` and counts every application, inverse included."""
+
+    def __init__(self, base: TwistMap):
+        self.base = base
+        self.kind = base.kind
+        self.calls = 0
+        super().__init__(base.domain, base.claims, base.has_inverse)
+
+    def _apply(self, a):
+        self.calls += 1
+        return self.base.apply(a)
+
+    def _apply_inverse(self, a):
+        self.calls += 1
+        return self.base.apply_inverse(a)
+
+
+def test_weyl_power_times_variable_is_linear_in_the_degree():
+    # Row m of pi(Y) is {m: Y, m-1: m}: two stored entries, each sent once to
+    # sigma and once to delta, so at most 4 applications per row. One dense
+    # row per term pair cost about (n+1)^2 applications (160k at n = 400).
+    sigma, delta = CountingMap(IdentityMap(P1)), CountingMap(FormalDerivative(P1))
+    ctx = OreContext(P1, sigma, delta)
+    n = 400
+    y = monomial_element(P1, 1)
+    xn = OrePoly.x(ctx, n)
+    sigma.calls = delta.calls = 0
+    product = xn * OrePoly.constant(ctx, y)
+    assert sigma.calls + delta.calls <= 4 * n
+    assert product == OrePoly.from_terms(ctx, [(n, y), (n - 1, scalar(P1, n))])
+
+
+def test_zero_delta_rows_cost_one_sigma_application():
+    sigma, delta = CountingMap(ConjugationMap(QUAT)), CountingMap(ZeroMap(QUAT))
+    ctx = OreContext(QUAT, sigma, delta)
+    i = basis_element(QUAT, 1)
+    xn = OrePoly.x(ctx, 51)
+    sigma.calls = delta.calls = 0
+    product = xn * OrePoly.constant(ctx, i)
+    assert (sigma.calls, delta.calls) == (51, 0)
+    assert product == OrePoly.monomial(ctx, -i, 51)
+
+
+def test_laurent_product_walks_sigma_powers_once_per_right_coefficient():
+    # On [-20, 20] the table for one right coefficient is 20 forward and 20
+    # inverse steps from sigma^0; per-pair powers cost |m| steps for each of
+    # the 41 left terms (420 per right coefficient).
+    sigma = CountingMap(SigmaQComplex(2))
+    ctx = LaurentContext(COMPLEX_Q, sigma)
+    rng = Random(41)
+
+    def full():
+        pairs = []
+        for e in range(-20, 21):
+            c = random_element(COMPLEX_Q, rng)
+            while c.is_zero():
+                c = random_element(COMPLEX_Q, rng)
+            pairs.append((e, c))
+        return LaurentPoly.from_terms(ctx, pairs)
+
+    p, q = full(), full()
+    assert len(p.terms) == len(q.terms) == 41
+    sigma.calls = 0
+    product = p * q
+    assert sigma.calls <= 40 * len(q.terms)
+    assert product == laurent_reference(p, q)
