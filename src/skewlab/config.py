@@ -169,6 +169,8 @@ def load_session(source) -> Session:
         raw = source
     else:
         raise ConfigError(f"unsupported config source: {type(source).__name__}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, not {type(raw).__name__}")
 
     structure = raw.get("structure")
     if structure not in STRUCTURES:
@@ -214,7 +216,7 @@ def load_session(source) -> Session:
                     structure, ring, laurent_context=LaurentContext(ring, sigma)
                 )
             else:  # series
-                if not isinstance(precision, int) or precision < 1:
+                if type(precision) is not int or precision < 1:
                     raise ConfigError(
                         "series structures need an integer 'precision' >= 1"
                     )

@@ -113,6 +113,10 @@ STRUCTURES = (
     "element",
 )
 _NEGATIVE_X_OK = {"laurent", "laurent_series", "iterated_laurent"}
+# Parentheses, matrix brackets and unary minus signs nested deeper than this
+# are refused, so the recursive-descent parser stays far from Python's stack
+# limit.
+MAX_NESTING = 100
 _SERIES_STRUCTURES = {"power_series", "laurent_series"}
 
 
@@ -239,6 +243,7 @@ class _Parser:
         self.profile = profile
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0
         self.table = constant_table(profile.ring)
         self.indets = profile.indeterminate_names()
 
@@ -255,6 +260,15 @@ class _Parser:
         if tok.kind != kind:
             raise ExprError(f"expected {kind!r}, found {tok.text or 'end'!r}", tok.pos)
         return tok
+
+    def nested(self, parse, tok: _Token):
+        """Run ``parse`` one nesting level below ``tok``."""
+        if self.depth == MAX_NESTING:
+            raise ExprError(f"expression nests deeper than {MAX_NESTING} levels", tok.pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self):
         node = self.expr()
@@ -283,7 +297,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "-":
             self.next()
-            operand = self.factor()
+            operand = self.nested(self.factor, tok)
             return Neg(operand, span=(tok.pos, _span(operand)[1]))
         return self.primary()
 
@@ -296,11 +310,11 @@ class _Parser:
                 raise ExprError("literal has a zero denominator", tok.pos) from None
             return Lit(value, span=(tok.pos, tok.pos + len(tok.text)))
         if tok.kind == "(":
-            node = self.expr()
+            node = self.nested(self.expr, tok)
             closing = self.expect(")")
             return _respan(node, (tok.pos, closing.pos + 1))
         if tok.kind == "[":
-            return self.matrix(tok)
+            return self.nested(lambda: self.matrix(tok), tok)
         if tok.kind == "name":
             if tok.text == "O":
                 return self.o_tail(tok)

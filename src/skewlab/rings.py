@@ -5,24 +5,29 @@ elements are plain immutable Python data, canonicalized at construction so
 that structural equality coincides with mathematical equality:
 
 * ``Rationals``      -- ``fractions.Fraction`` (always reduced, denominator > 0)
-* ``CayleyDickson``  -- nested ``(lo, hi)`` pairs, one pair per doubling level;
-  level 0 is the base, level 1 the complexes, 2 the quaternions, 3 the
-  octonions, 4 the sedenions
+* ``CayleyDickson``  -- flat tuple of the ``2**level`` base coordinates, the
+  ``lo`` half before the ``hi`` half at every doubling level; level 0 is the
+  base, 1 the complexes, 2 the quaternions, 3 the octonions, 4 the sedenions
 * ``JordanPlus``     -- the wrapped base value itself (the product changes,
   the carrier does not)
 * ``Poly1``          -- sorted tuple of ``(exponent, Fraction)``, no zero terms
 * ``Poly2``          -- sorted tuple of ``((e1, e2), Fraction)``, no zero terms
 * ``Matrix``         -- tuple of row tuples of base values
 
-The Cayley-Dickson product uses the doubling rule
+The Cayley-Dickson product is the doubling rule
 ``(a, b) * (c, d) = (a*c - conj(d)*b, d*a + b*conj(c))`` with conjugation
-``conj((a, b)) = (conj(a), -b)`` and identity conjugation at level 0.
+``conj((a, b)) = (conj(a), -b)`` and identity conjugation at level 0, read
+from a sign table ``e_i * e_j = +-e_(i XOR j)`` built once per level; over the
+rationals it is summed in integers over a common denominator.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
+from math import lcm
 from random import Random
 from typing import Any, Iterable
 
@@ -133,17 +138,10 @@ class Rationals(RingDescriptor):
     def one_value(self):
         return Fraction(1)
 
-    def add_values(self, a, b):
-        return a + b
-
-    def neg_value(self, a):
-        return -a
-
-    def mul_values(self, a, b):
-        return a * b
-
-    def scale_value(self, a, q):
-        return a * q
+    add_values = staticmethod(operator.add)
+    neg_value = staticmethod(operator.neg)
+    mul_values = staticmethod(operator.mul)
+    scale_value = staticmethod(operator.mul)
 
     def sample_value(self, rng):
         return _sample_fraction(rng)
@@ -163,9 +161,44 @@ def _basis_label(level: int, index: int) -> str:
     return f"e{index}"
 
 
+@lru_cache(maxsize=None)
+def _sign_table(level: int) -> tuple:
+    """The doubling product as a table of ``e_i * e_j = sign * e_(i ^ j)``.
+
+    Row ``k`` holds three tuples indexed by ``i``: ``j = i ^ k``, the sign, and
+    whether the base factors multiply as ``y_j*x_i`` (this matters only over a
+    non-commutative base). Coordinate ``k`` of ``x*y`` is then the sum of
+    ``sign * x_i*y_j`` over the row. Built one level at a time from the
+    doubling rule, in which ``conj`` keeps coordinate 0 and negates the rest.
+    """
+    units = {(0, 0): (1, False)}
+    for lv in range(level):
+        h = 1 << lv
+        doubled = {}
+        for (p, q), (s, w) in units.items():
+            doubled[p, q] = (s, w)  # a*c
+            doubled[q + h, p + h] = (-s if p == 0 else s, not w)  # -conj(d)*b
+            doubled[q, p + h] = (s, not w)  # d*a
+            doubled[p + h, q] = (s if q == 0 else -s, w)  # b*conj(c)
+        units = doubled
+    n = 1 << level
+    rows = []
+    for k in range(n):
+        js = tuple(i ^ k for i in range(n))
+        signs, swaps = zip(*(units[i, j] for i, j in enumerate(js)))
+        rows.append((js, signs, swaps))
+    return tuple(rows)
+
+
+def _integers(x) -> tuple[list[int], int]:
+    """Rationals ``x`` as integer numerators over their lcm denominator."""
+    den = lcm(*(c.denominator for c in x))
+    return [c.numerator * (den // c.denominator) for c in x], den
+
+
 @dataclass(frozen=True)
 class CayleyDickson(RingDescriptor):
-    """Doubling algebra over ``base``; values are nested coordinate pairs."""
+    """Doubling algebra over ``base``; values are flat coordinate tuples."""
 
     level: int
     base: RingDescriptor = RATIONALS
@@ -175,9 +208,6 @@ class CayleyDickson(RingDescriptor):
             raise UnsupportedDescriptor(
                 f"Cayley-Dickson level must be in 0..4, got {self.level}"
             )
-
-    def sub(self) -> RingDescriptor:
-        return CayleyDickson(self.level - 1, self.base) if self.level > 0 else self.base
 
     @property
     def is_associative(self) -> bool:
@@ -192,91 +222,60 @@ class CayleyDickson(RingDescriptor):
         return self.level == 1 and self.base.is_commutative
 
     def canon(self, raw):
-        if self.level == 0:
-            return self.base.canon(raw)
-        if not isinstance(raw, (tuple, list)) or len(raw) != 2:
-            raise ValueError(f"level-{self.level} value must be a pair")
-        s = self.sub()
-        return (s.canon(raw[0]), s.canon(raw[1]))
+        dim = 1 << self.level
+        if not isinstance(raw, (tuple, list)) or len(raw) != dim:
+            raise ValueError(f"a level-{self.level} value has {dim} coordinates")
+        return tuple(map(self.base.canon, raw))
 
     def zero_value(self):
-        if self.level == 0:
-            return self.base.zero_value()
-        z = self.sub().zero_value()
-        return (z, z)
+        return (self.base.zero_value(),) * (1 << self.level)
 
     def one_value(self):
-        if self.level == 0:
-            return self.base.one_value()
-        s = self.sub()
-        return (s.one_value(), s.zero_value())
+        return (self.base.one_value(),) + self.zero_value()[1:]
 
     def add_values(self, a, b):
-        if self.level == 0:
-            return self.base.add_values(a, b)
-        s = self.sub()
-        return (s.add_values(a[0], b[0]), s.add_values(a[1], b[1]))
+        return tuple(map(self.base.add_values, a, b))
 
     def neg_value(self, a):
-        if self.level == 0:
-            return self.base.neg_value(a)
-        s = self.sub()
-        return (s.neg_value(a[0]), s.neg_value(a[1]))
+        return tuple(map(self.base.neg_value, a))
 
     def conj_value(self, a):
-        if self.level == 0:
-            return a
-        s = self.sub()
-        lo = s.conj_value(a[0]) if isinstance(s, CayleyDickson) else a[0]
-        return (lo, s.neg_value(a[1]))
+        return (a[0], *map(self.base.neg_value, a[1:]))
 
     def mul_values(self, x, y):
-        if self.level == 0:
-            return self.base.mul_values(x, y)
-        s = self.sub()
-        conj = s.conj_value if isinstance(s, CayleyDickson) else (lambda v: v)
-        a, b = x
-        c, d = y
-        lo = s.add_values(s.mul_values(a, c), s.neg_value(s.mul_values(conj(d), b)))
-        hi = s.add_values(s.mul_values(d, a), s.mul_values(b, conj(c)))
-        return (lo, hi)
+        table = _sign_table(self.level)
+        if isinstance(self.base, Rationals):
+            (xs, dx), (ys, dy) = _integers(x), _integers(y)
+            den = dx * dy
+            return tuple(
+                Fraction(sum([s * a * ys[j] for a, j, s in zip(xs, js, signs)]), den)
+                for js, signs, _ in table
+            )
+        mul, neg = self.base.mul_values, self.base.neg_value
+
+        def term(a, j, s, swapped):
+            p = mul(y[j], a) if swapped else mul(a, y[j])
+            return p if s > 0 else neg(p)
+
+        rows = (map(term, x, js, signs, swaps) for js, signs, swaps in table)
+        return tuple(reduce(self.base.add_values, row) for row in rows)
 
     def scale_value(self, a, q):
-        if self.level == 0:
-            return self.base.scale_value(a, q)
-        s = self.sub()
-        return (s.scale_value(a[0], q), s.scale_value(a[1], q))
+        return tuple(self.base.scale_value(c, q) for c in a)
 
     def sample_value(self, rng):
-        if self.level == 0:
-            return self.base.sample_value(rng)
-        s = self.sub()
-        return (s.sample_value(rng), s.sample_value(rng))
+        return tuple(self.base.sample_value(rng) for _ in range(1 << self.level))
 
     def flat_values(self, a) -> tuple:
-        """Flatten nested pairs to the 2**level coordinate tuple."""
-        if self.level == 0:
-            return (a,)
-        s = self.sub()
-        if isinstance(s, CayleyDickson):
-            return s.flat_values(a[0]) + s.flat_values(a[1])
-        return (a[0], a[1])
+        """The 2**level base coordinates, in doubling order."""
+        return a
 
     def from_flat(self, comps: Iterable) -> Any:
-        comps = tuple(comps)
-        if len(comps) != 1 << self.level:
-            raise ValueError(f"expected {1 << self.level} components")
-        if self.level == 0:
-            return self.base.canon(comps[0])
-        s = self.sub()
-        half = len(comps) // 2
-        if isinstance(s, CayleyDickson):
-            return (s.from_flat(comps[:half]), s.from_flat(comps[half:]))
-        return (s.canon(comps[0]), s.canon(comps[1]))
+        return self.canon(tuple(comps))
 
     def render_terms(self, a):
         terms: list[tuple[int, str]] = []
-        for index, comp in enumerate(self.flat_values(a)):
+        for index, comp in enumerate(a):
             if self.base.is_zero_value(comp):
                 continue
             cterms = self.base.render_terms(comp)

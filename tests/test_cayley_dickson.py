@@ -1,0 +1,111 @@
+"""The flat Cayley-Dickson product against the doubling rule it tabulates.
+
+``CayleyDickson`` stores a value as its ``2**level`` base coordinates and
+multiplies through a sign table. The reference here applies the doubling rule
+``(a, b)(c, d) = (ac - conj(d)b, da + b conj(c))`` recursively to the two
+halves of the coordinate tuple, sharing no code with the table. The
+work-count tests wrap the base ring's operations in counters; they never look
+at time.
+"""
+
+from fractions import Fraction as F
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skewlab.rings import (
+    RATIONALS,
+    SEDENIONS_Q,
+    CayleyDickson,
+    Matrix,
+    Poly1,
+    Rationals,
+    random_element,
+)
+
+SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
+BASES = {"rationals": RATIONALS, "poly1": Poly1(), "matrix2": Matrix(2)}
+
+
+def doubling_mul(base, x, y):
+    """The doubling rule on flat coordinate tuples, half by half."""
+    if len(x) == 1:
+        return (base.mul_values(x[0], y[0]),)
+
+    def add(u, v):
+        return tuple(map(base.add_values, u, v))
+
+    def neg(u):
+        return tuple(map(base.neg_value, u))
+
+    def conj(u):
+        return u[:1] + neg(u[1:])
+
+    h = len(x) // 2
+    a, b, c, d = x[:h], x[h:], y[:h], y[h:]
+    lo = add(doubling_mul(base, a, c), neg(doubling_mul(base, conj(d), b)))
+    hi = add(doubling_mul(base, d, a), doubling_mul(base, b, conj(c)))
+    return lo + hi
+
+
+def coordinates(base, level):
+    if base == RATIONALS:
+        coord = st.builds(F, st.integers(-50, 50), st.integers(1, 60))
+    else:
+        coord = st.integers(0, 2**32).map(lambda k: base.sample_value(Random(k)))
+    n = 1 << level
+    return st.lists(coord, min_size=n, max_size=n).map(tuple)
+
+
+@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("base_name", sorted(BASES))
+@SETTINGS
+@given(data=st.data())
+def test_flat_product_matches_doubling_rule(base_name, level, data):
+    base = BASES[base_name]
+    d = CayleyDickson(level, base)
+    x = data.draw(coordinates(base, level))
+    y = data.draw(coordinates(base, level))
+    assert d.mul_values(x, y) == doubling_mul(base, x, y)
+
+
+def test_sampling_order_is_pinned():
+    value = random_element(CayleyDickson(3), Random(2024)).value
+    assert value == (F(2), F(9, 5), F(-3, 7), F(-1, 9), F(-1, 4), F(2, 7), F(7, 4), F(0))
+
+
+def counting(monkeypatch, cls, name):
+    """Replace ``cls.name`` with a wrapper that logs each call."""
+    calls = []
+    raw = cls.__dict__[name]
+    static = isinstance(raw, staticmethod)
+    inner = raw.__func__ if static else raw
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(cls, name, staticmethod(counted) if static else counted)
+    return calls
+
+
+def test_sedenion_product_over_rationals_makes_no_base_products(monkeypatch):
+    rng = Random(3)
+    x, y = SEDENIONS_Q.sample_value(rng), SEDENIONS_Q.sample_value(rng)
+    expected = doubling_mul(RATIONALS, x, y)
+    calls = counting(monkeypatch, Rationals, "mul_values")
+    assert SEDENIONS_Q.mul_values(x, y) == expected
+    assert calls == []
+
+
+def test_sedenion_product_over_poly1_makes_one_base_product_per_pair(monkeypatch):
+    d = CayleyDickson(4, Poly1())
+    rng = Random(4)
+    x, y = d.sample_value(rng), d.sample_value(rng)
+    muls = counting(monkeypatch, Poly1, "mul_values")
+    adds = counting(monkeypatch, Poly1, "add_values")
+    d.mul_values(x, y)
+    assert len(muls) == 256
+    assert len(adds) == 16 * 15

@@ -208,6 +208,22 @@ def test_usage_and_parse_errors_exit_two(capsys, cfg, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ([POWER], ["eval", "1"], "error: config must be a JSON object, not list"),
+        ({**POWER, "precision": True}, ["series", "1"], "error: series structures"),
+        (WEYL, ["eval", "(" * 3000 + "X" + ")" * 3000], "error: expression nests"),
+    ],
+)
+def test_malformed_input_exits_two_with_one_error_line(capsys, cfg, config, argv, message):
+    command, *rest = argv
+    code, out, err = run(capsys, [command, "--config", cfg(config), *rest])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "suite, trials", [("nucleus", "-1"), ("ring-axioms", "0"), ("counterexample", "0")]
 )
 def test_check_rejects_trial_counts_below_one(capsys, cfg, suite, trials):

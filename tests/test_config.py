@@ -100,6 +100,27 @@ def test_structure_validation():
         )  # missing sigmas
 
 
+@pytest.mark.parametrize("payload", [[], ["structure", "ore"], "ore", 3, None])
+def test_top_level_must_be_an_object(tmp_path, payload):
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        load_session(path)
+
+
+@pytest.mark.parametrize("precision", [True, False, "4", 2.0, 0])
+def test_series_precision_must_be_a_positive_int(precision):
+    payload = {
+        "ring": "rationals",
+        "sigma": {"kind": "identity"},
+        "structure": "power_series",
+        "precision": precision,
+    }
+    with pytest.raises(ConfigError, match="integer 'precision'"):
+        load_session(payload)
+    assert load_session({**payload, "precision": 1}).precision == 1
+
+
 def test_ore_default_delta_is_zero():
     s = load_session(
         {

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from skewlab.expr import (
+    MAX_NESTING,
     Bin,
     EvalError,
     EvalTarget,
@@ -149,6 +150,22 @@ def test_exponent_restrictions():
         parse("Y^-1", ExprProfile("ore", P1))
     with pytest.raises(ExprError):
         parse("Y^1/2", ExprProfile("ore", P1))
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", "")])
+def test_nesting_limit(opener, closer):
+    profile = ExprProfile("ore", P1)
+
+    def nest(depth):
+        return "0 + " + opener * depth + "Y" + closer * depth
+
+    assert isinstance(parse(nest(MAX_NESTING), profile), Bin)
+    siblings = " + ".join([nest(MAX_NESTING // 2)] * 3)
+    assert isinstance(parse(siblings, profile), Bin)
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ExprError, match=f"deeper than {MAX_NESTING}") as err:
+            parse(nest(depth), profile)
+        assert err.value.position == 4 + MAX_NESTING
 
 
 def test_zero_denominator_literal():
