@@ -13,6 +13,8 @@ literals ``[[..],[..]]``, and the series tail marker ``O(X^p)``. Exponents
 ``^`` attach only to named atoms; negative exponents exist only where the
 structure supports them. Adding ``O(X^p)`` truncates to precision ``p``.
 
+One walker evaluates every structure; each structure only lifts the leaves
+(literals, named constants, matrix literals, indeterminates, tail markers).
 In series structures the evaluator keeps polynomial subexpressions exact and
 lets precision enter only through tail markers (or, if none appears, the
 session precision applied to the final value).
@@ -192,9 +194,7 @@ def constant_table(ring: RingDescriptor) -> dict:
                     lambda e, _p=payload: RingElement(ring, _p(e).value),
                 )
         return table
-    if isinstance(ring, Matrix):
-        return table  # entries are parsed through matrix literals
-    return table
+    return table  # matrix entries are parsed through matrix literals
 
 
 # --- lexer -------------------------------------------------------------------
@@ -474,44 +474,7 @@ class EvalTarget:
 
 def eval_element(node, ring: RingDescriptor) -> RingElement:
     """Evaluate an expression with no indeterminates to a ring element."""
-    if isinstance(node, Lit):
-        return scalar(ring, node.value)
-    if isinstance(node, Name):
-        entry = constant_table(ring).get(node.name)
-        if entry is None:
-            raise EvalError(f"unknown constant {node.name!r} in {ring}")
-        kind, payload = entry
-        if kind == "unit":
-            if node.exponent != 1:
-                raise EvalError(f"exponent not allowed on {node.name!r}")
-            return payload
-        return payload(node.exponent)
-    if isinstance(node, Neg):
-        return -eval_element(node.operand, ring)
-    if isinstance(node, Bin):
-        a = eval_element(node.left, ring)
-        b = eval_element(node.right, ring)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        return a * b
-    if isinstance(node, Mat):
-        if not isinstance(ring, Matrix):
-            raise EvalError("matrix literal outside a matrix ring")
-        if len(node.rows) != ring.n or any(len(r) != ring.n for r in node.rows):
-            raise EvalError(f"matrix literal must be {ring.n}x{ring.n}")
-        rows = [
-            [eval_element(x, ring.base).value for x in row] for row in node.rows
-        ]
-        return element(ring, rows)
-    if isinstance(node, OTail):
-        raise EvalError("the O(X^p) marker has no meaning for plain elements")
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _series_poly_class(ctx):
-    return LaurentPoly if isinstance(ctx, LaurentContext) else OrePoly
+    return _walk(node, _element_leaf(ring))
 
 
 def evaluate(node, target: EvalTarget):
@@ -519,101 +482,110 @@ def evaluate(node, target: EvalTarget):
     structure = target.structure
     if structure == "element":
         return eval_element(node, target.ring)
-    if structure == "ore":
-        return _eval_poly(node, target, target.ore_context, OrePoly)
-    if structure == "laurent":
-        return _eval_poly(node, target, target.laurent_context, LaurentPoly)
-    if structure == "iterated_laurent":
-        return _eval_iterated(node, target)
-    value = _eval_series(node, target)
-    if not isinstance(value, TruncatedSeries):
+    value = _walk(node, _poly_leaf(target))
+    if structure in _SERIES_STRUCTURES and not isinstance(value, TruncatedSeries):
         value = TruncatedSeries.from_poly(value, target.precision)
     return value
 
 
-def _eval_poly(node, target, ctx, poly_cls):
-    if isinstance(node, Lit):
-        return poly_cls.constant(ctx, scalar(target.ring, node.value))
-    if isinstance(node, Name):
-        if node.name == "X":
-            return poly_cls.x(ctx, node.exponent)
-        return poly_cls.constant(ctx, eval_element(node, target.ring))
-    if isinstance(node, Neg):
-        return -_eval_poly(node.operand, target, ctx, poly_cls)
-    if isinstance(node, Bin):
-        a = _eval_poly(node.left, target, ctx, poly_cls)
-        b = _eval_poly(node.right, target, ctx, poly_cls)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        return a * b
-    if isinstance(node, Mat):
-        return poly_cls.constant(ctx, eval_element(node, target.ring))
-    if isinstance(node, OTail):
-        raise EvalError("the O(X^p) marker belongs to series structures")
-    raise TypeError(f"not an AST node: {node!r}")
+def _walk(node, leaf):
+    """Evaluate ``node``, lifting every leaf through ``leaf``.
+
+    The left spine of a ``+ - *`` chain is walked in a loop, so flat sums and
+    products of any length stay off Python's stack; only parentheses and unary
+    minus recurse, and the parser bounds their depth.
+    """
+    spine = []
+    while isinstance(node, Bin):
+        spine.append(node)
+        node = node.left
+    value = -_walk(node.operand, leaf) if isinstance(node, Neg) else leaf(node)
+    for b in reversed(spine):
+        value = _combine(b.op, value, _walk(b.right, leaf))
+    return value
 
 
-def _eval_iterated(node, target):
-    ctx = target.iterated_context
-    names = {f"X{i + 1}": i for i in range(len(ctx.sigmas))}
-    if isinstance(node, Lit):
-        return MultiLaurentPoly.constant(ctx, scalar(target.ring, node.value))
-    if isinstance(node, Name):
-        if node.name in names:
-            return MultiLaurentPoly.variable(ctx, names[node.name], node.exponent)
-        return MultiLaurentPoly.constant(ctx, eval_element(node, target.ring))
-    if isinstance(node, Neg):
-        return -_eval_iterated(node.operand, target)
-    if isinstance(node, Bin):
-        a = _eval_iterated(node.left, target)
-        b = _eval_iterated(node.right, target)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        return a * b
-    if isinstance(node, Mat):
-        return MultiLaurentPoly.constant(ctx, eval_element(node, target.ring))
-    if isinstance(node, OTail):
-        raise EvalError("the O(X^p) marker belongs to series structures")
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _eval_series(node, target):
-    """Returns either an exact polynomial or a TruncatedSeries."""
-    ctx = target.series_context
-    poly_cls = _series_poly_class(ctx)
-    if isinstance(node, Lit):
-        return poly_cls.constant(ctx, scalar(target.ring, node.value))
-    if isinstance(node, Name):
-        if node.name == "X":
-            return poly_cls.x(ctx, node.exponent)
-        return poly_cls.constant(ctx, eval_element(node, target.ring))
-    if isinstance(node, Mat):
-        return poly_cls.constant(ctx, eval_element(node, target.ring))
-    if isinstance(node, OTail):
-        return TruncatedSeries.zero_window(ctx, node.precision)
-    if isinstance(node, Neg):
-        return -_eval_series(node.operand, target)
-    if isinstance(node, Bin):
-        a = _eval_series(node.left, target)
-        b = _eval_series(node.right, target)
-        a_poly = not isinstance(a, TruncatedSeries)
-        b_poly = not isinstance(b, TruncatedSeries)
-        if node.op in "+-":
-            if b_poly != a_poly:
-                if a_poly:
-                    a = TruncatedSeries.from_poly(a, b.precision)
-                else:
-                    b = TruncatedSeries.from_poly(b, a.precision)
-            return a + b if node.op == "+" else a - b
-        if a_poly and b_poly:
-            return a * b
-        if a_poly:
-            return poly_times_series(a, b)
-        if b_poly:
+def _combine(op: str, a, b):
+    """``a op b``, reading a polynomial that meets a series as a series."""
+    a_series = isinstance(a, TruncatedSeries)
+    b_series = isinstance(b, TruncatedSeries)
+    if op == "*":
+        if a_series and not b_series:
             return series_times_poly(a, b)
+        if b_series and not a_series:
+            return poly_times_series(a, b)
         return a * b
-    raise TypeError(f"not an AST node: {node!r}")
+    if a_series and not b_series:
+        b = TruncatedSeries.from_poly(b, a.precision)
+    elif b_series and not a_series:
+        a = TruncatedSeries.from_poly(a, b.precision)
+    return a + b if op == "+" else a - b
+
+
+def _element_leaf(ring: RingDescriptor):
+    """Leaf lifter for plain ring elements; builds the constant table at most
+    once, on the first named leaf."""
+    table = None
+
+    def leaf(node):
+        nonlocal table
+        if isinstance(node, Lit):
+            return scalar(ring, node.value)
+        if isinstance(node, Name):
+            if table is None:
+                table = constant_table(ring)
+            entry = table.get(node.name)
+            if entry is None:
+                raise EvalError(f"unknown constant {node.name!r} in {ring}")
+            kind, payload = entry
+            if kind == "unit":
+                if node.exponent != 1:
+                    raise EvalError(f"exponent not allowed on {node.name!r}")
+                return payload
+            return payload(node.exponent)
+        if isinstance(node, Mat):
+            if not isinstance(ring, Matrix):
+                raise EvalError("matrix literal outside a matrix ring")
+            if len(node.rows) != ring.n or any(len(r) != ring.n for r in node.rows):
+                raise EvalError(f"matrix literal must be {ring.n}x{ring.n}")
+            entry_leaf = _element_leaf(ring.base)
+            rows = [[_walk(x, entry_leaf).value for x in row] for row in node.rows]
+            return element(ring, rows)
+        if isinstance(node, OTail):
+            raise EvalError("the O(X^p) marker has no meaning for plain elements")
+        raise TypeError(f"not an AST node: {node!r}")
+
+    return leaf
+
+
+def _poly_leaf(target: EvalTarget):
+    """Leaf lifter for the twisted structures: indeterminates become their
+    polynomials, ``O(X^p)`` an empty series window, and every other leaf a
+    constant polynomial."""
+    structure = target.structure
+    if structure == "iterated_laurent":
+        ctx = target.iterated_context
+        cls = MultiLaurentPoly
+        indeterminates = {
+            f"X{i + 1}": (lambda e, _i=i: MultiLaurentPoly.variable(ctx, _i, e))
+            for i in range(len(ctx.sigmas))
+        }
+    else:
+        ctx = {
+            "ore": target.ore_context,
+            "laurent": target.laurent_context,
+        }.get(structure, target.series_context)
+        cls = LaurentPoly if isinstance(ctx, LaurentContext) else OrePoly
+        indeterminates = {"X": lambda e: cls.x(ctx, e)}
+    element_leaf = _element_leaf(target.ring)
+
+    def leaf(node):
+        if isinstance(node, Name) and node.name in indeterminates:
+            return indeterminates[node.name](node.exponent)
+        if isinstance(node, OTail):
+            if structure not in _SERIES_STRUCTURES:
+                raise EvalError("the O(X^p) marker belongs to series structures")
+            return TruncatedSeries.zero_window(ctx, node.precision)
+        return cls.constant(ctx, element_leaf(node))
+
+    return leaf

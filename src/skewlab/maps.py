@@ -6,17 +6,17 @@ surjectivity), and, when available, an exact inverse. Maps on polynomial
 domains are stored as monomial-level rules and extended additively, which is
 what makes the inverses exact.
 
-The ``verify_*`` functions are sampling-based falsifiers: they either produce
-a concrete counterexample or report that no violation was found in N trials.
+The ``verify_*`` functions are sampling-based falsifiers: each runs its
+sampler through :func:`~skewlab.reports.falsify` and either produces a
+concrete counterexample or reports that no violation was found in N trials.
 They never prove anything.
 """
 
 from __future__ import annotations
 
 import math
-from random import Random
 
-from .reports import CheckReport, no_violation_message
+from .reports import CheckReport, falsify
 from .rings import (
     COMPLEX_Q,
     CayleyDickson,
@@ -414,26 +414,23 @@ def power_table(m: TwistMap, a: RingElement, lo: int, hi: int) -> dict:
     return table
 
 
+def _falsify_pairs(name, domain, trials, seed, violated, message) -> CheckReport:
+    """Sample pairs ``a, b`` of ``domain`` until ``violated(a, b)`` holds."""
+
+    def trial(rng):
+        a = random_element(domain, rng)
+        b = random_element(domain, rng)
+        if violated(a, b):
+            return f"a={a}, b={b}", message
+
+    return falsify(name, trials, seed, trial)
+
+
 def verify_additive(m: TwistMap, trials: int, seed: int = 0) -> CheckReport:
-    rng = Random(seed)
-    for _ in range(trials):
-        a = random_element(m.domain, rng)
-        b = random_element(m.domain, rng)
-        if m.apply(a + b) != m.apply(a) + m.apply(b):
-            return CheckReport(
-                name=f"{m.kind}:additive",
-                passed=False,
-                trials=trials,
-                seed=seed,
-                witness=f"a={a}, b={b}",
-                message="additivity violated",
-            )
-    return CheckReport(
-        name=f"{m.kind}:additive",
-        passed=True,
-        trials=trials,
-        seed=seed,
-        message=no_violation_message(trials),
+    return _falsify_pairs(
+        f"{m.kind}:additive", m.domain, trials, seed,
+        lambda a, b: m.apply(a + b) != m.apply(a) + m.apply(b),
+        "additivity violated",
     )
 
 
@@ -456,48 +453,18 @@ def verify_unit_behavior(m: TwistMap) -> CheckReport:
 
 
 def verify_multiplicative(m: TwistMap, trials: int, seed: int = 0) -> CheckReport:
-    rng = Random(seed)
-    for _ in range(trials):
-        a = random_element(m.domain, rng)
-        b = random_element(m.domain, rng)
-        if m.apply(a * b) != m.apply(a) * m.apply(b):
-            return CheckReport(
-                name=f"{m.kind}:multiplicative",
-                passed=False,
-                trials=trials,
-                seed=seed,
-                witness=f"a={a}, b={b}",
-                message="multiplicativity violated",
-            )
-    return CheckReport(
-        name=f"{m.kind}:multiplicative",
-        passed=True,
-        trials=trials,
-        seed=seed,
-        message=no_violation_message(trials),
+    return _falsify_pairs(
+        f"{m.kind}:multiplicative", m.domain, trials, seed,
+        lambda a, b: m.apply(a * b) != m.apply(a) * m.apply(b),
+        "multiplicativity violated",
     )
 
 
 def verify_injective(m: TwistMap, trials: int, seed: int = 0) -> CheckReport:
-    rng = Random(seed)
-    for _ in range(trials):
-        a = random_element(m.domain, rng)
-        b = random_element(m.domain, rng)
-        if a != b and m.apply(a) == m.apply(b):
-            return CheckReport(
-                name=f"{m.kind}:injective",
-                passed=False,
-                trials=trials,
-                seed=seed,
-                witness=f"a={a}, b={b}",
-                message="distinct inputs with equal images",
-            )
-    return CheckReport(
-        name=f"{m.kind}:injective",
-        passed=True,
-        trials=trials,
-        seed=seed,
-        message=no_violation_message(trials),
+    return _falsify_pairs(
+        f"{m.kind}:injective", m.domain, trials, seed,
+        lambda a, b: a != b and m.apply(a) == m.apply(b),
+        "distinct inputs with equal images",
     )
 
 
@@ -512,25 +479,14 @@ def verify_surjective(m: TwistMap, trials: int, seed: int = 0) -> CheckReport:
             seed=seed,
             message="skipped: no preimage chooser bundled",
         )
-    rng = Random(seed)
-    for _ in range(trials):
+
+    def trial(rng):
         b = random_element(m.domain, rng)
         if m.apply(m.apply_inverse(b)) != b:
-            return CheckReport(
-                name=name,
-                passed=False,
-                trials=trials,
-                seed=seed,
-                witness=f"b={b}",
-                message="inverse fails to produce a preimage",
-            )
-    return CheckReport(
-        name=name,
-        passed=True,
-        trials=trials,
-        seed=seed,
-        message=f"preimages found for {trials} sampled targets",
-    )
+            return f"b={b}", "inverse fails to produce a preimage"
+
+    return falsify(name, trials, seed, trial,
+                   f"preimages found for {trials} sampled targets")
 
 
 def verify_inverse_roundtrip(m: TwistMap, trials: int, seed: int = 0) -> CheckReport:
@@ -538,47 +494,25 @@ def verify_inverse_roundtrip(m: TwistMap, trials: int, seed: int = 0) -> CheckRe
     if not m.has_inverse:
         return CheckReport(name=name, passed=True, trials=0, seed=seed,
                            message="skipped: no inverse")
-    rng = Random(seed)
-    for _ in range(trials):
+
+    def trial(rng):
         a = random_element(m.domain, rng)
         if m.apply_inverse(m.apply(a)) != a or m.apply(m.apply_inverse(a)) != a:
-            return CheckReport(
-                name=name,
-                passed=False,
-                trials=trials,
-                seed=seed,
-                witness=f"a={a}",
-                message="round trip through the inverse failed",
-            )
-    return CheckReport(
-        name=name, passed=True, trials=trials, seed=seed,
-        message=f"round trip exact on {trials} samples",
-    )
+            return f"a={a}", "round trip through the inverse failed"
+
+    return falsify(name, trials, seed, trial,
+                   f"round trip exact on {trials} samples")
 
 
 def verify_sigma_derivation(
     sigma: TwistMap, delta: TwistMap, trials: int, seed: int = 0
 ) -> CheckReport:
     """Falsifier for the twisted Leibniz rule d(ab) = s(a) d(b) + d(a) b."""
-    rng = Random(seed)
-    for _ in range(trials):
-        a = random_element(delta.domain, rng)
-        b = random_element(delta.domain, rng)
-        if delta.apply(a * b) != sigma.apply(a) * delta.apply(b) + delta.apply(a) * b:
-            return CheckReport(
-                name="sigma-derivation",
-                passed=False,
-                trials=trials,
-                seed=seed,
-                witness=f"a={a}, b={b}",
-                message="twisted Leibniz rule violated",
-            )
-    return CheckReport(
-        name="sigma-derivation",
-        passed=True,
-        trials=trials,
-        seed=seed,
-        message=no_violation_message(trials),
+    return _falsify_pairs(
+        "sigma-derivation", delta.domain, trials, seed,
+        lambda a, b: delta.apply(a * b)
+        != sigma.apply(a) * delta.apply(b) + delta.apply(a) * b,
+        "twisted Leibniz rule violated",
     )
 
 

@@ -2,12 +2,15 @@
 
 Sampling verifiers are falsifiers, not provers: a passing report means "no
 violation found in N trials", never a proof. Messages are worded accordingly
-and every report carries the seed that reproduces it.
+and every report carries the seed that reproduces it. Every sampler that
+stops at its first violation runs through :func:`falsify`, so all of them
+draw from one ``Random(seed)`` in the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from random import Random
 
 
 @dataclass(frozen=True)
@@ -68,3 +71,23 @@ class SuiteReport:
 
 def no_violation_message(trials: int) -> str:
     return f"no violation found in {trials} trials"
+
+
+def falsify(name: str, trials: int, seed: int, trial, passed_message=None) -> CheckReport:
+    """Run ``trial(rng)`` up to ``trials`` times on one ``Random(seed)``.
+
+    ``trial`` returns ``None`` when its sample passes, or ``(witness,
+    message)`` at a violation, which ends the run with a failing report. A
+    run without violations reports ``passed_message``, by default "no
+    violation found in N trials".
+    """
+    rng = Random(seed)
+    for _ in range(trials):
+        found = trial(rng)
+        if found is not None:
+            witness, message = found
+            return CheckReport(name, False, trials, seed, witness, message)
+    return CheckReport(
+        name, True, trials, seed,
+        message=passed_message or no_violation_message(trials),
+    )

@@ -234,14 +234,6 @@ def series_times_poly(s: TruncatedSeries, p) -> TruncatedSeries:
     return _exact_below(s.context, s.nonzero_terms(), p.terms, s.precision + p.order())
 
 
-def series_order(p: TruncatedSeries):
-    return p.order()
-
-
-def series_leading_coefficient(p: TruncatedSeries) -> RingElement:
-    return p.leading_coefficient()
-
-
 @dataclass(frozen=True)
 class SeriesReduceStep:
     generator_index: int

@@ -42,7 +42,7 @@ from .maps import (
     power_apply,
     power_table,
 )
-from .reports import CheckReport, no_violation_message
+from .reports import CheckReport, falsify
 from .rings import (
     RingDescriptor,
     RingElement,
@@ -485,29 +485,17 @@ def nucleus_check_power(ctx, n: int, trials: int, seed: int = 0) -> CheckReport:
         sample = random_laurent_poly
     else:
         raise TypeError("expected an Ore or Laurent context")
-    rng = Random(seed)
-    for _ in range(trials):
+
+    def trial(rng):
         p = sample(ctx, rng)
         q = sample(ctx, rng)
         middle = poly_associator(p, xp, q)
         right = poly_associator(p, q, xp)
         if not (middle.is_zero() and right.is_zero()):
             slot = "middle" if not middle.is_zero() else "right"
-            return CheckReport(
-                name=f"nucleus:X^{n}",
-                passed=False,
-                trials=trials,
-                seed=seed,
-                witness=f"slot={slot}, p={p}, q={q}",
-                message=f"X^{n} fell out of the {slot} nucleus",
-            )
-    return CheckReport(
-        name=f"nucleus:X^{n}",
-        passed=True,
-        trials=trials,
-        seed=seed,
-        message=no_violation_message(trials),
-    )
+            return f"slot={slot}, p={p}, q={q}", f"X^{n} fell out of the {slot} nucleus"
+
+    return falsify(f"nucleus:X^{n}", trials, seed, trial)
 
 
 def left_normal_form(p: OrePoly) -> tuple[tuple[int, RingElement], ...]:

@@ -7,6 +7,7 @@ deterministic given its seed.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from random import Random
 
 from .config import ConfigError, Session
@@ -16,7 +17,7 @@ from .noetherian import (
     counterexample_witness,
     sigma_ideal_image_check,
 )
-from .reports import CheckReport, SuiteReport, no_violation_message
+from .reports import CheckReport, SuiteReport, falsify, no_violation_message
 from .rings import is_associative_division_ring, one, random_element
 from .series import TruncatedSeries, agree_below, random_series
 from .skewpoly import (
@@ -89,16 +90,7 @@ def _map_claims(session, trials, seed, options) -> SuiteReport:
     report = SuiteReport("map-claims", seed, trials)
     for label, m in session.maps():
         for check in verify_claims(m, trials, seed):
-            report.checks.append(
-                CheckReport(
-                    f"{label}:{check.name}",
-                    check.passed,
-                    check.trials,
-                    check.seed,
-                    check.witness,
-                    check.message,
-                )
-            )
+            report.checks.append(replace(check, name=f"{label}:{check.name}"))
     if not report.checks:
         raise ConfigError("the session declares no maps to verify")
     return report
@@ -132,26 +124,20 @@ def _series_nucleus(session, n, trials, seed) -> CheckReport:
     precision = session.precision
     if n < 0 and session.structure == "power_series":
         raise ConfigError("power series have no negative powers of X")
-    rng = Random(seed)
     xn = TruncatedSeries.from_terms(
         ctx, [(n, one(session.ring))], precision + n
     )
-    for _ in range(trials):
+
+    def trial(rng):
         p = random_series(ctx, rng, precision)
         q = random_series(ctx, rng, precision)
         middle = (p * xn) * q - p * (xn * q)
         right = (p * q) * xn - p * (q * xn)
         if middle.order() is not None or right.order() is not None:
             slot = "middle" if middle.order() is not None else "right"
-            return CheckReport(
-                f"nucleus:X^{n}", False, trials, seed,
-                witness=f"slot={slot}, p={p}, q={q}",
-                message=f"X^{n} fell out of the {slot} nucleus",
-            )
-    return CheckReport(
-        f"nucleus:X^{n}", True, trials, seed,
-        message=no_violation_message(trials),
-    )
+            return f"slot={slot}, p={p}, q={q}", f"X^{n} fell out of the {slot} nucleus"
+
+    return falsify(f"nucleus:X^{n}", trials, seed, trial)
 
 
 def _dichotomy(session, trials, seed, options) -> SuiteReport:
@@ -184,14 +170,14 @@ def _dichotomy(session, trials, seed, options) -> SuiteReport:
         raise ConfigError(
             "the associativity-dichotomy suite runs on polynomial structures"
         )
-    rng = Random(seed)
-    witness = None
-    for _ in range(trials):
+
+    def trial(rng):
         p, q, r = (sample(ctx, rng) for _ in range(3))
         a = poly_associator(p, q, r)
         if not a.is_zero():
-            witness = f"({p}, {q}, {r}) -> {a}"
-            break
+            return f"({p}, {q}, {r}) -> {a}", "nonzero associator"
+
+    witness = falsify("associator", trials, seed, trial).witness
     prediction_text = (
         "associative" if predicted else f"non-associative: {'; '.join(reasons)}"
     )
@@ -220,10 +206,8 @@ def _division_roundtrip(session, trials, seed, options) -> SuiteReport:
             "right division needs an associative division coefficient ring"
         )
     ctx = session.target.ore_context
-    rng = Random(seed)
-    report = SuiteReport("division-roundtrip", seed, trials)
-    replayed = 0
-    for _ in range(trials):
+
+    def trial(rng):
         gens = []
         while not gens:
             gens = [
@@ -238,22 +222,15 @@ def _division_roundtrip(session, trials, seed, options) -> SuiteReport:
         trace = right_divide(p, gens)
         min_deg = min(g.degree() for g in gens)
         if not (trace.remainder.degree() < min_deg and trace.replay(gens) == p):
-            report.checks.append(
-                CheckReport(
-                    "division-roundtrip", False, trials, seed,
-                    witness=f"p={p}, gens={[str(g) for g in gens]}",
-                    message="remainder bound or replay failed",
-                )
+            return (
+                f"p={p}, gens={[str(g) for g in gens]}",
+                "remainder bound or replay failed",
             )
-            return report
-        replayed += 1
-    report.checks.append(
-        CheckReport(
-            "division-roundtrip", True, trials, seed,
-            message=f"{replayed} traces replayed exactly",
-        )
-    )
-    return report
+
+    return SuiteReport("division-roundtrip", seed, trials, [
+        falsify("division-roundtrip", trials, seed, trial,
+                f"{trials} traces replayed exactly")
+    ])
 
 
 def _series_precision(session, trials, seed, options) -> SuiteReport:
@@ -265,53 +242,44 @@ def _series_precision(session, trials, seed, options) -> SuiteReport:
 
     poly_cls = LaurentPoly if isinstance(ctx, LaurentContext) else OrePoly
     min_exp = 0 if session.structure == "power_series" else -3
-    rng = Random(seed)
-    report = SuiteReport("series-precision", seed, trials)
-    for _ in range(trials):
-        terms_p = [
+
+    def sample(rng):
+        terms = [
             (rng.randint(min_exp, 4), random_element(session.ring, rng))
             for _ in range(rng.randint(0, 3))
         ]
-        terms_q = [
-            (rng.randint(min_exp, 4), random_element(session.ring, rng))
-            for _ in range(rng.randint(0, 3))
-        ]
-        p = poly_cls.from_terms(ctx, terms_p)
-        q = poly_cls.from_terms(ctx, terms_q)
+        return poly_cls.from_terms(ctx, terms)
+
+    def trial(rng):
+        p = sample(rng)
+        q = sample(rng)
         sp = TruncatedSeries.from_poly(p, precision)
         sq = TruncatedSeries.from_poly(q, precision)
         sprod = sp * sq
         exact = TruncatedSeries.from_terms(ctx, (p * q).terms, sprod.precision)
         if not agree_below(sprod, exact, sprod.precision):
-            report.checks.append(
-                CheckReport(
-                    "series-precision", False, trials, seed,
-                    witness=f"p={p}, q={q}",
-                    message="series product disagrees with the polynomial product",
-                )
+            return (
+                f"p={p}, q={q}",
+                "series product disagrees with the polynomial product",
             )
-            return report
-    report.checks.append(
-        CheckReport(
-            "series-precision", True, trials, seed,
-            message=f"window products exact below the declared precision "
-                    f"({trials} pairs)",
-        )
-    )
-    return report
+
+    return SuiteReport("series-precision", seed, trials, [
+        falsify("series-precision", trials, seed, trial,
+                f"window products exact below the declared precision "
+                f"({trials} pairs)")
+    ])
 
 
 def _counterexample(session, trials, seed, options) -> SuiteReport:
-    m = options.get("m") or 2
-    multiplier_bound = options.get("multiplier_bound") or 4
-    coefficient_bound = options.get("coefficient_bound") or 4
+    m = options.get("m")
+    if m is None:
+        m = 2
+    cfg = CounterexampleConfig(m, trials, 4, 4, seed)
     report = SuiteReport("counterexample", seed, trials)
     report.checks.append(
         sigma_ideal_image_check(samples=min(trials, 200), bound=12, seed=seed)
     )
-    witness = counterexample_witness(
-        CounterexampleConfig(m, trials, multiplier_bound, coefficient_bound, seed)
-    )
+    witness = counterexample_witness(cfg)
     report.checks.append(
         CheckReport(
             "left-ideal-witness",

@@ -213,6 +213,7 @@ def test_usage_and_parse_errors_exit_two(capsys, cfg, tmp_path):
         ([POWER], ["eval", "1"], "error: config must be a JSON object, not list"),
         ({**POWER, "precision": True}, ["series", "1"], "error: series structures"),
         (WEYL, ["eval", "(" * 3000 + "X" + ")" * 3000], "error: expression nests"),
+        (WEYL, ["check", "counterexample", "--m", "0"], "error: max_generator_degree"),
     ],
 )
 def test_malformed_input_exits_two_with_one_error_line(capsys, cfg, config, argv, message):
@@ -221,6 +222,16 @@ def test_malformed_input_exits_two_with_one_error_line(capsys, cfg, config, argv
     assert code == 2
     assert out == ""
     assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "expression, value",
+    [(" + ".join(["X"] * 3000), "3000*X"), ("*".join(["Y"] * 3000), "Y^3000")],
+    ids=["sum", "product"],
+)
+def test_flat_chains_of_thousands_of_terms_evaluate(capsys, cfg, expression, value):
+    code, out, err = run(capsys, ["eval", "--config", cfg(WEYL), expression])
+    assert (code, out, err) == (0, value + "\n", "")
 
 
 @pytest.mark.parametrize(
