@@ -12,24 +12,12 @@ import json
 import sys
 
 from .config import ConfigError, Session, load_session
-from .expr import EvalError, ExprError
-from .maps import NoInverse
 from .noetherian import CounterexampleConfig, counterexample_witness
-from .rings import DescriptorMismatch, NotInvertible, UnsupportedDescriptor
-from .skewpoly import ContextMismatch, right_divide
+from .rings import NotInvertible
+from .skewpoly import right_divide
 from .suites import SUITE_NAMES, run_suite
 
-_USER_ERRORS = (
-    ConfigError,
-    ExprError,
-    EvalError,
-    DescriptorMismatch,
-    UnsupportedDescriptor,
-    NotInvertible,
-    ContextMismatch,
-    NoInverse,
-    ValueError,
-)
+_USER_ERRORS = (ValueError, NotInvertible)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,7 +7,7 @@ structure:
 * ``ore``              -- needs ``sigma`` (``delta`` defaults to the zero map)
 * ``laurent``          -- needs an invertible ``sigma``
 * ``iterated_laurent`` -- needs ``sigmas``, a list of invertible maps
-* ``power_series``     -- needs ``sigma`` and ``precision``
+* ``power_series``     -- needs an invertible ``sigma`` and ``precision``
 * ``laurent_series``   -- needs an invertible ``sigma`` and ``precision``
 
 Ring records: ``"rationals"``, ``{"cayley_dickson": {"level": 2}}``,
@@ -220,14 +220,10 @@ def load_session(source) -> Session:
                     raise ConfigError(
                         "series structures need an integer 'precision' >= 1"
                     )
-                if structure == "laurent_series" or sigma.has_inverse:
-                    ctx = LaurentContext(ring, sigma)
-                else:
-                    ctx = OreContext(ring, sigma, ZeroMap(ring))
                 target = EvalTarget(
                     structure,
                     ring,
-                    series_context=ctx,
+                    series_context=LaurentContext(ring, sigma),
                     precision=precision,
                 )
     except ConfigError:

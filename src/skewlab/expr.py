@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .rings import (
     CayleyDickson,
@@ -140,8 +141,12 @@ class ExprProfile:
         return ("X",)
 
 
+@lru_cache(maxsize=None)
 def constant_table(ring: RingDescriptor) -> dict:
-    """Name -> ("unit", RingElement) or ("var", exponent -> RingElement)."""
+    """Name -> ("unit", RingElement) or ("var", exponent -> RingElement).
+
+    Built once per ring and shared by the parser and the evaluator; callers
+    must not modify it."""
     table: dict = {}
     if isinstance(ring, Rationals):
         return table
@@ -163,38 +168,26 @@ def constant_table(ring: RingDescriptor) -> dict:
             table["j"] = ("unit", basis_element(ring, 2))
             table["k"] = ("unit", basis_element(ring, 3))
         if not isinstance(ring.base, Rationals):
-            zero_rest = [ring.base.zero_value()] * ((1 << ring.level) - 1)
-            for name, entry in constant_table(ring.base).items():
-                if name in table:
-                    continue
-                kind, payload = entry
-                if kind == "unit":
-                    table[name] = (
-                        "unit",
-                        RingElement(
-                            ring, ring.from_flat([payload.value] + zero_rest)
-                        ),
-                    )
-                else:
-                    table[name] = (
-                        "var",
-                        lambda e, _p=payload: RingElement(
-                            ring, ring.from_flat([_p(e).value] + zero_rest)
-                        ),
-                    )
+            rest = [ring.base.zero_value()] * (dim - 1)
+            base = _lifted(ring, ring.base, lambda v: ring.canon([v] + rest))
+            for name, entry in base.items():
+                table.setdefault(name, entry)
         return table
     if isinstance(ring, JordanPlus):
-        for name, entry in constant_table(ring.base).items():
-            kind, payload = entry
-            if kind == "unit":
-                table[name] = ("unit", RingElement(ring, payload.value))
-            else:
-                table[name] = (
-                    "var",
-                    lambda e, _p=payload: RingElement(ring, _p(e).value),
-                )
-        return table
+        return _lifted(ring, ring.base, lambda v: v)
     return table  # matrix entries are parsed through matrix literals
+
+
+def _lifted(ring: RingDescriptor, base: RingDescriptor, lift) -> dict:
+    """The constants of ``base`` carried into ``ring`` by ``lift``, a map
+    from base values to values of ``ring``."""
+
+    def carry(kind, payload):
+        if kind == "unit":
+            return kind, RingElement(ring, lift(payload.value))
+        return kind, lambda e: RingElement(ring, lift(payload(e).value))
+
+    return {name: carry(*entry) for name, entry in constant_table(base).items()}
 
 
 # --- lexer -------------------------------------------------------------------
@@ -523,18 +516,13 @@ def _combine(op: str, a, b):
 
 
 def _element_leaf(ring: RingDescriptor):
-    """Leaf lifter for plain ring elements; builds the constant table at most
-    once, on the first named leaf."""
-    table = None
+    """Leaf lifter for plain ring elements."""
 
     def leaf(node):
-        nonlocal table
         if isinstance(node, Lit):
             return scalar(ring, node.value)
         if isinstance(node, Name):
-            if table is None:
-                table = constant_table(ring)
-            entry = table.get(node.name)
+            entry = constant_table(ring).get(node.name)
             if entry is None:
                 raise EvalError(f"unknown constant {node.name!r} in {ring}")
             kind, payload = entry

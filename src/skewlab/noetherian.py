@@ -150,25 +150,14 @@ def _y_monomial(a: int, b: int, c=1) -> RingElement:
     return monomial_element(POLY2, (a, b), c)
 
 
-def _random_y_multiple(rng: Random, bound: int) -> RingElement:
-    """A random element of the ideal generated by Y, within the degree bound."""
+def _random_coefficient(rng: Random, bound: int, low: int = 0) -> RingElement:
+    """A random element of Q[Y, Z] within the degree bound; with ``low = 1``,
+    one to three terms, each a multiple of Y."""
     terms = []
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(low, 3)):
         terms.append(
             (
-                (rng.randint(1, bound), rng.randint(0, bound)),
-                Fraction(rng.randint(-9, 9)),
-            )
-        )
-    return element(POLY2, terms)
-
-
-def _random_coefficient(rng: Random, bound: int) -> RingElement:
-    terms = []
-    for _ in range(rng.randint(0, 3)):
-        terms.append(
-            (
-                (rng.randint(0, bound), rng.randint(0, bound)),
+                (rng.randint(low, bound), rng.randint(0, bound)),
                 Fraction(rng.randint(-9, 9)),
             )
         )
@@ -182,7 +171,8 @@ def _random_ideal_generator(ctx, rng: Random, cfg: CounterexampleConfig) -> OreP
         terms = []
         for e in range(cfg.max_generator_degree + 1):
             if rng.random() < 0.6:
-                terms.append((e, _random_y_multiple(rng, cfg.coefficient_degree_bound)))
+                c = _random_coefficient(rng, cfg.coefficient_degree_bound, 1)
+                terms.append((e, c))
         p = OrePoly.from_terms(ctx, terms)
         if not p.is_zero():
             return p

@@ -11,8 +11,15 @@ that structural equality coincides with mathematical equality:
 * ``JordanPlus``     -- the wrapped base value itself (the product changes,
   the carrier does not)
 * ``Poly1``          -- sorted tuple of ``(exponent, Fraction)``, no zero terms
-* ``Poly2``          -- sorted tuple of ``((e1, e2), Fraction)``, no zero terms
+* ``Poly2``          -- the same with ``(e1, e2)`` exponent pairs
 * ``Matrix``         -- tuple of row tuples of base values
+
+Sparse term lists are one carrier from here up: ``Poly1`` and ``Poly2`` (one
+``_PolyRing`` implementation; only the exponent differs) and the twisted
+polynomials of :mod:`skewlab.skewpoly`. One canonicaliser, :func:`sum_terms`,
+gives all of them their form, and one renderer, :func:`labeled_terms`, writes
+every "coefficient times label" term: a Cayley-Dickson unit, a monomial, a
+power of X.
 
 The Cayley-Dickson product is the doubling rule
 ``(a, b) * (c, d) = (a*c - conj(d)*b, d*a + b*conj(c))`` with conjugation
@@ -29,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
 from random import Random
-from typing import Any, Iterable
+from typing import Any
 
 
 class DescriptorMismatch(ValueError):
@@ -63,6 +70,29 @@ def _join_terms(terms: tuple[tuple[int, str], ...]) -> str:
     for sign, text in terms[1:]:
         parts.append((" - " if sign < 0 else " + ") + text)
     return "".join(parts)
+
+
+def sum_terms(pairs) -> tuple:
+    """The canonical sparse term list: coefficients summed per exponent,
+    zeros dropped, ascending exponents. Coefficients are ``Fraction`` or
+    :class:`RingElement`; both are false exactly when zero."""
+    acc: dict = {}
+    for e, c in pairs:
+        acc[e] = acc[e] + c if e in acc else c
+    return tuple(sorted((e, c) for e, c in acc.items() if c))
+
+
+def labeled_terms(ring: RingDescriptor, value, label: str) -> tuple:
+    """``value * label`` as (sign, text) pairs, where ``value`` lives in
+    ``ring``. An empty label is the unit; a coefficient of several terms is
+    parenthesized."""
+    terms = ring.render_terms(value)
+    if not label:
+        return terms
+    if len(terms) == 1:
+        sign, text = terms[0]
+        return ((sign, label if text == "1" else f"{text}*{label}"),)
+    return ((1, f"({_join_terms(terms)})*{label}"),)
 
 
 class RingDescriptor:
@@ -143,8 +173,7 @@ class Rationals(RingDescriptor):
     mul_values = staticmethod(operator.mul)
     scale_value = staticmethod(operator.mul)
 
-    def sample_value(self, rng):
-        return _sample_fraction(rng)
+    sample_value = staticmethod(_sample_fraction)
 
     def render_terms(self, a):
         if a == 0:
@@ -270,24 +299,12 @@ class CayleyDickson(RingDescriptor):
         """The 2**level base coordinates, in doubling order."""
         return a
 
-    def from_flat(self, comps: Iterable) -> Any:
-        return self.canon(tuple(comps))
-
     def render_terms(self, a):
         terms: list[tuple[int, str]] = []
         for index, comp in enumerate(a):
-            if self.base.is_zero_value(comp):
-                continue
-            cterms = self.base.render_terms(comp)
-            if index == 0:
-                terms.extend(cterms)
-                continue
-            label = _basis_label(self.level, index)
-            if len(cterms) == 1:
-                sign, text = cterms[0]
-                terms.append((sign, label if text == "1" else f"{text}*{label}"))
-            else:
-                terms.append((1, f"({self.base.render_value(comp)})*{label}"))
+            if not self.base.is_zero_value(comp):
+                label = _basis_label(self.level, index) if index else ""
+                terms.extend(labeled_terms(self.base, comp, label))
         return tuple(terms)
 
 
@@ -351,27 +368,18 @@ class JordanPlus(RingDescriptor):
         return self.base.render_terms(a)
 
 
-def _render_monomial(coeff: Fraction, var_text: str) -> tuple[int, str]:
-    sign = 1 if coeff > 0 else -1
-    mag = abs(coeff)
-    if not var_text:
-        return (sign, str(mag))
-    if mag == 1:
-        return (sign, var_text)
-    return (sign, f"{mag}*{var_text}")
-
-
 def _var_power(name: str, e: int) -> str:
     if e == 0:
         return ""
     return name if e == 1 else f"{name}^{e}"
 
 
-@dataclass(frozen=True)
-class Poly1(RingDescriptor):
-    """Commutative polynomials in one variable over the rationals."""
-
-    variable: str = "Y"
+class _PolyRing(RingDescriptor):
+    """Commutative polynomials over the rationals: a sorted tuple of
+    ``(exponent, Fraction)`` terms, no zero terms. A subclass fixes the
+    exponent through four hooks: ``_exponent`` (validate), ``_add_exponents``,
+    ``_sample_exponent`` and ``_exponent_text``; ``_constant`` is the exponent
+    of the constants."""
 
     @property
     def is_associative(self) -> bool:
@@ -382,40 +390,24 @@ class Poly1(RingDescriptor):
         return True
 
     def canon(self, raw):
-        if isinstance(raw, dict):
-            items = raw.items()
-        else:
-            items = raw
-        acc: dict[int, Fraction] = {}
-        for e, c in items:
-            if not isinstance(e, int) or e < 0:
-                raise ValueError(f"exponent must be a natural number, got {e!r}")
-            c = as_rational(c)
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return tuple(sorted((e, c) for e, c in acc.items() if c != 0))
+        items = raw.items() if isinstance(raw, dict) else raw
+        return sum_terms((self._exponent(e), as_rational(c)) for e, c in items)
 
     def zero_value(self):
         return ()
 
     def one_value(self):
-        return ((0, Fraction(1)),)
+        return ((self._constant, Fraction(1)),)
 
     def add_values(self, a, b):
-        acc = dict(a)
-        for e, c in b:
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return tuple(sorted((e, c) for e, c in acc.items() if c != 0))
+        return sum_terms(a + b)
 
     def neg_value(self, a):
         return tuple((e, -c) for e, c in a)
 
     def mul_values(self, a, b):
-        acc: dict[int, Fraction] = {}
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = e1 + e2
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return tuple(sorted((e, c) for e, c in acc.items() if c != 0))
+        add = self._add_exponents
+        return sum_terms((add(e1, e2), c1 * c2) for e1, c1 in a for e2, c2 in b)
 
     def scale_value(self, a, q):
         if q == 0:
@@ -425,89 +417,71 @@ class Poly1(RingDescriptor):
     def sample_value(self, rng):
         terms = {}
         for _ in range(rng.randint(0, 3)):
-            terms[rng.randint(0, 4)] = _sample_fraction(rng)
+            terms[self._sample_exponent(rng)] = _sample_fraction(rng)
         return self.canon(terms)
 
     def render_terms(self, a):
         return tuple(
-            _render_monomial(c, _var_power(self.variable, e)) for e, c in a
+            term
+            for e, c in a
+            for term in labeled_terms(RATIONALS, c, self._exponent_text(e))
         )
 
 
 @dataclass(frozen=True)
-class Poly2(RingDescriptor):
+class Poly1(_PolyRing):
+    """Commutative polynomials in one variable over the rationals."""
+
+    variable: str = "Y"
+
+    _constant = 0
+    _add_exponents = staticmethod(operator.add)
+
+    @staticmethod
+    def _exponent(e):
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"exponent must be a natural number, got {e!r}")
+        return e
+
+    @staticmethod
+    def _sample_exponent(rng):
+        return rng.randint(0, 4)
+
+    def _exponent_text(self, e):
+        return _var_power(self.variable, e)
+
+
+@dataclass(frozen=True)
+class Poly2(_PolyRing):
     """Commutative polynomials in two variables over the rationals."""
 
     variables: tuple[str, str] = ("Y", "Z")
+
+    _constant = (0, 0)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         if len(self.variables) != 2 or self.variables[0] == self.variables[1]:
             raise UnsupportedDescriptor("Poly2 needs two distinct variable names")
 
-    @property
-    def is_associative(self) -> bool:
-        return True
+    @staticmethod
+    def _exponent(exps):
+        a, b = exps
+        if not (isinstance(a, int) and isinstance(b, int)) or a < 0 or b < 0:
+            raise ValueError(f"exponents must be natural numbers, got {exps!r}")
+        return (a, b)
 
-    @property
-    def is_commutative(self) -> bool:
-        return True
+    @staticmethod
+    def _add_exponents(x, y):
+        return (x[0] + y[0], x[1] + y[1])
 
-    def canon(self, raw):
-        if isinstance(raw, dict):
-            items = raw.items()
-        else:
-            items = raw
-        acc: dict[tuple[int, int], Fraction] = {}
-        for exps, c in items:
-            a, b = exps
-            if not (isinstance(a, int) and isinstance(b, int)) or a < 0 or b < 0:
-                raise ValueError(f"exponents must be natural numbers, got {exps!r}")
-            c = as_rational(c)
-            acc[(a, b)] = acc.get((a, b), Fraction(0)) + c
-        return tuple(sorted((e, c) for e, c in acc.items() if c != 0))
+    @staticmethod
+    def _sample_exponent(rng):
+        return (rng.randint(0, 3), rng.randint(0, 3))
 
-    def zero_value(self):
-        return ()
-
-    def one_value(self):
-        return (((0, 0), Fraction(1)),)
-
-    def add_values(self, a, b):
-        acc = dict(a)
-        for e, c in b:
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return tuple(sorted((e, c) for e, c in acc.items() if c != 0))
-
-    def neg_value(self, a):
-        return tuple((e, -c) for e, c in a)
-
-    def mul_values(self, a, b):
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in a:
-            for (a2, b2), c2 in b:
-                e = (a1 + a2, b1 + b2)
-                acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-        return tuple(sorted((e, c) for e, c in acc.items() if c != 0))
-
-    def scale_value(self, a, q):
-        if q == 0:
-            return ()
-        return tuple((e, c * q) for e, c in a)
-
-    def sample_value(self, rng):
-        terms = {}
-        for _ in range(rng.randint(0, 3)):
-            terms[(rng.randint(0, 3), rng.randint(0, 3))] = _sample_fraction(rng)
-        return self.canon(terms)
-
-    def render_terms(self, a):
-        out = []
-        for (e1, e2), c in a:
-            pieces = [p for p in (_var_power(self.variables[0], e1),
-                                  _var_power(self.variables[1], e2)) if p]
-            out.append(_render_monomial(c, "*".join(pieces)))
-        return tuple(out)
+    def _exponent_text(self, exps):
+        pieces = (_var_power(v, e) for v, e in zip(self.variables, exps))
+        return "*".join(p for p in pieces if p)
 
 
 @dataclass(frozen=True)
@@ -708,17 +682,15 @@ def basis_element(descriptor: CayleyDickson, index: int) -> RingElement:
     dim = 1 << descriptor.level
     if not 0 <= index < dim:
         raise ValueError(f"basis index must be in 0..{dim - 1}")
-    comps = [Fraction(0)] * dim
-    comps[index] = Fraction(1)
-    return RingElement(descriptor, descriptor.from_flat(comps))
+    comps = [descriptor.base.zero_value()] * dim
+    comps[index] = descriptor.base.one_value()
+    return element(descriptor, comps)
 
 
 def monomial_element(descriptor: RingDescriptor, exps, coeff=1) -> RingElement:
     """A single monomial of a Poly1 (int exponent) or Poly2 (pair) ring."""
-    if isinstance(descriptor, Poly1):
+    if isinstance(descriptor, _PolyRing):
         return element(descriptor, [(exps, coeff)])
-    if isinstance(descriptor, Poly2):
-        return element(descriptor, [(tuple(exps), coeff)])
     raise UnsupportedDescriptor("monomials live in polynomial rings")
 
 
@@ -727,11 +699,8 @@ def associator(a: RingElement, b: RingElement, c: RingElement) -> RingElement:
     return (a * b) * c - a * (b * c)
 
 
-def _monomial_exponents(g: RingElement) -> tuple[int, ...]:
-    if len(g.value) != 1:
-        raise ValueError(f"generator must be a monomial, got {g}")
-    e = g.value[0][0]
-    return (e,) if isinstance(e, int) else tuple(e)
+def _exponent_vector(e) -> tuple[int, ...]:
+    return (e,) if isinstance(e, int) else e
 
 
 def monomial_ideal_member(p: RingElement, generators: list[RingElement]) -> bool:
@@ -740,19 +709,18 @@ def monomial_ideal_member(p: RingElement, generators: list[RingElement]) -> bool
     True iff every monomial of ``p`` is divisible by some generator; the zero
     polynomial belongs to every ideal.
     """
-    if not isinstance(p.descriptor, (Poly1, Poly2)):
+    if not isinstance(p.descriptor, _PolyRing):
         raise UnsupportedDescriptor("monomial ideals live in polynomial rings")
     gen_exps = []
     for g in generators:
         p._require_same(g)
-        gen_exps.append(_monomial_exponents(g))
-    for e, _c in p.value:
-        exps = (e,) if isinstance(e, int) else tuple(e)
-        if not any(
-            all(x >= y for x, y in zip(exps, ge)) for ge in gen_exps
-        ):
-            return False
-    return True
+        if len(g.value) != 1:
+            raise ValueError(f"generator must be a monomial, got {g}")
+        gen_exps.append(_exponent_vector(g.value[0][0]))
+    return all(
+        any(all(x >= y for x, y in zip(_exponent_vector(e), ge)) for ge in gen_exps)
+        for e, _c in p.value
+    )
 
 
 def random_element(descriptor: RingDescriptor, rng: Random) -> RingElement:

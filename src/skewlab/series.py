@@ -24,6 +24,7 @@ from .maps import power_apply
 from .rings import (
     RingElement,
     UnsupportedDescriptor,
+    _var_power,
     is_associative_division_ring,
     one,
     random_element,
@@ -32,7 +33,6 @@ from .rings import (
 from .skewpoly import (
     LaurentContext,
     OreContext,
-    _x_text,
     render_terms_text,
     twisted_product,
 )
@@ -173,9 +173,6 @@ class TruncatedSeries:
     def __mul__(self, other):
         return series_mul(self, other)
 
-    def is_exhausted(self) -> bool:
-        return self.order() is None
-
     def nonzero_terms(self) -> list[tuple[int, RingElement]]:
         """The known nonzero ``(exponent, coefficient)`` pairs, ascending."""
         return [
@@ -186,7 +183,7 @@ class TruncatedSeries:
 
     def __str__(self):
         body = render_terms_text(
-            self.context.ring, self.nonzero_terms(), lambda e: _x_text("X", e)
+            self.context.ring, self.nonzero_terms(), lambda e: _var_power("X", e)
         )
         tail = f"O(X^{self.precision})"
         return tail if body == "0" else f"{body} + {tail}"

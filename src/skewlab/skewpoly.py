@@ -11,7 +11,9 @@ Two one-variable constructions share the carrier "sorted term list":
 Multiplication in either ring is generally non-associative; powers of X sit
 in the middle and right nuclei, which :func:`nucleus_check_power` samples.
 An iterated multi-variable Laurent ring over pairwise-commuting twists uses
-the same carrier with exponent vectors.
+the same carrier with exponent vectors. The carrier is the one of
+:mod:`skewlab.rings`: terms are put in canonical form by ``rings.sum_terms``
+and rendered through ``rings.labeled_terms``.
 
 Every product, here and in :mod:`skewlab.series`, runs through one kernel,
 :func:`twisted_product`. It visits the right factor's terms and, for each
@@ -47,9 +49,13 @@ from .rings import (
     RingDescriptor,
     RingElement,
     UnsupportedDescriptor,
+    _join_terms,
+    _var_power,
     is_associative_division_ring,
+    labeled_terms,
     one,
     random_element,
+    sum_terms,
     zero,
 )
 
@@ -224,14 +230,6 @@ def pi(ctx: OreContext, m: int, i: int, s: RingElement) -> RingElement:
     return pi_row(ctx, m, s).get(i, zero(ctx.ring))
 
 
-def _sum_terms(pairs) -> tuple:
-    """Coefficients summed per exponent, zeros dropped, ascending exponents."""
-    acc: dict = {}
-    for e, c in pairs:
-        acc[e] = acc[e] + c if e in acc else c
-    return tuple(sorted((e, c) for e, c in acc.items() if not c.is_zero()))
-
-
 def twisted_product(ctx, left, right, limit=None) -> tuple:
     """Canonical ``(exponent, coefficient)`` terms of the biadditive product
     of two term lists.
@@ -251,7 +249,7 @@ def twisted_product(ctx, left, right, limit=None) -> tuple:
                     for e, t in table[m]:
                         yield e, r * t
 
-    return _sum_terms(products())
+    return sum_terms(products())
 
 
 @dataclass(frozen=True)
@@ -282,7 +280,7 @@ class _TermPoly:
             if c.descriptor != context.ring:
                 raise ContextMismatch("coefficient descriptor does not match the ring")
             checked.append((e, c))
-        return cls(context, _sum_terms(checked))
+        return cls(context, sum_terms(checked))
 
     @classmethod
     def zero(cls, context):
@@ -314,7 +312,7 @@ class _TermPoly:
 
     def __add__(self, other):
         self._require_same_context(other)
-        return self.__class__(self.context, _sum_terms(self.terms + other.terms))
+        return self.__class__(self.context, sum_terms(self.terms + other.terms))
 
     def __neg__(self):
         return self.__class__(
@@ -356,7 +354,7 @@ class _TermPoly:
         return zero(self.context.ring)
 
     def _power_text(self, e) -> str:
-        return _x_text(self._indeterminate, e)
+        return _var_power(self._indeterminate, e)
 
     def __str__(self):
         return render_terms_text(self.context.ring, self.terms, self._power_text)
@@ -365,34 +363,12 @@ class _TermPoly:
         return f"<{type(self).__name__} {self}>"
 
 
-def _x_text(name: str, e: int) -> str:
-    if e == 0:
-        return ""
-    return name if e == 1 else f"{name}^{e}"
-
-
 def render_terms_text(ring: RingDescriptor, terms, x_text) -> str:
     """Canonical text: ascending exponents, explicit ``*``, parentheses around
     compound coefficients; grammar-compatible so output re-parses exactly."""
-    pieces: list[tuple[int, str]] = []
-    for e, c in terms:
-        xp = x_text(e)
-        cterms = ring.render_terms(c.value)
-        if not xp:
-            pieces.extend(cterms)
-            continue
-        if len(cterms) == 1:
-            sign, text = cterms[0]
-            pieces.append((sign, xp if text == "1" else f"{text}*{xp}"))
-        else:
-            pieces.append((1, f"({ring.render_value(c.value)})*{xp}"))
-    if not pieces:
-        return "0"
-    sign, text = pieces[0]
-    out = ["-" + text if sign < 0 else text]
-    for sign, text in pieces[1:]:
-        out.append((" - " if sign < 0 else " + ") + text)
-    return "".join(out)
+    return _join_terms(
+        [piece for e, c in terms for piece in labeled_terms(ring, c.value, x_text(e))]
+    )
 
 
 class OrePoly(_TermPoly):
@@ -436,7 +412,7 @@ class MultiLaurentPoly(_TermPoly):
 
     def _power_text(self, exps) -> str:
         return "*".join(
-            _x_text(f"X{i + 1}", e) for i, e in enumerate(exps) if e != 0
+            _var_power(f"X{i + 1}", e) for i, e in enumerate(exps) if e != 0
         )
 
 

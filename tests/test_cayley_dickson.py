@@ -77,9 +77,10 @@ def test_sampling_order_is_pinned():
 
 
 def counting(monkeypatch, cls, name):
-    """Replace ``cls.name`` with a wrapper that logs each call."""
+    """Replace ``cls.name`` (its own or inherited) with a wrapper that logs
+    each call."""
     calls = []
-    raw = cls.__dict__[name]
+    raw = next(k.__dict__[name] for k in cls.__mro__ if name in k.__dict__)
     static = isinstance(raw, staticmethod)
     inner = raw.__func__ if static else raw
 

@@ -246,6 +246,31 @@ def test_check_rejects_trial_counts_below_one(capsys, cfg, suite, trials):
     assert err == f"error: --trials must be at least 1, got {trials}\n"
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {**POWER, "ring": {"poly1": {}}, "sigma": {"kind": "formal_derivative"}},
+        {**POWER, "sigma": {"kind": "zero"}},
+    ],
+    ids=["formal_derivative", "zero"],
+)
+def test_power_series_sigma_must_respect_one(capsys, cfg, config):
+    code, out, err = run(capsys, ["series", "--config", cfg(config), "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: invalid configuration: sigma map must claim ['respects_one']\n"
+
+
+def test_cayley_dickson_over_poly1_has_units_and_variables(capsys, cfg):
+    config = {
+        "ring": {"cayley_dickson": {"level": 1, "base": {"poly1": {}}}},
+        "sigma": {"kind": "identity"},
+        "structure": "ore",
+    }
+    argv = ["eval", "--config", cfg(config), "(Y*i + 1)*(Y*i - 1)"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (0, "-1 - Y^2\n", "")
+
+
 def test_divide_requires_ore(capsys, cfg):
     code, _, err = run(capsys, ["divide", "--config", cfg(SIGMA2), "X", "i"])
     assert code == 2 and "ore structure" in err

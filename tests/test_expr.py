@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from skewlab.config import load_session
 from skewlab.expr import (
     MAX_NESTING,
     Bin,
@@ -37,6 +38,7 @@ from skewlab.rings import (
     Matrix,
     Poly1,
     Poly2,
+    basis_element,
     element,
     monomial_element,
     one,
@@ -215,6 +217,28 @@ def test_constant_tables():
     table = constant_table(jp)
     kind, payload = table["i"]
     assert kind == "unit" and payload.descriptor == jp
+
+
+def test_constant_table_is_built_once_per_ring(monkeypatch):
+    session = load_session(
+        {"ring": {"cayley_dickson": {"level": 4}}, "sigma": {"kind": "identity"},
+         "structure": "ore"}
+    )
+    calls = []
+
+    def counted(ring, index):
+        calls.append(index)
+        return basis_element(ring, index)
+
+    monkeypatch.setattr("skewlab.expr.basis_element", counted)
+    counts = []
+    for runs in (1, 5):
+        constant_table.cache_clear()
+        calls.clear()
+        for _ in range(runs):
+            assert str(session.evaluate("e1*e2 + e3")) == "2*e3"
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[0] == counts[1]
 
 
 # --- canonical round trips ---------------------------------------------------
