@@ -68,8 +68,19 @@ def parse_descriptor(obj) -> RingDescriptor:
         if kind == "rationals":
             return Rationals()
         if kind == "cayley_dickson":
-            base = params.get("base", "rationals")
-            return CayleyDickson(int(params["level"]), parse_descriptor(base))
+            base = parse_descriptor(params.get("base", "rationals"))
+            inner = base
+            while isinstance(inner, JordanPlus):
+                inner = inner.base
+            if isinstance(inner, CayleyDickson) and inner.level >= 1:
+                # Both rings would name their units i, j, k, e1, ...: two
+                # different elements would print alike, and the base's units
+                # could not be written at all.
+                raise ConfigError(
+                    "a cayley_dickson ring over a cayley_dickson base of level "
+                    ">= 1 is not supported: their basis names would collide"
+                )
+            return CayleyDickson(int(params["level"]), base)
         if kind == "jordan_plus":
             return JordanPlus(parse_descriptor(params["base"]))
         if kind == "poly1":

@@ -17,7 +17,9 @@ One walker evaluates every structure; each structure only lifts the leaves
 (literals, named constants, matrix literals, indeterminates, tail markers).
 In series structures the evaluator keeps polynomial subexpressions exact and
 lets precision enter only through tail markers (or, if none appears, the
-session precision applied to the final value).
+session precision applied to the final value). Each run of ``+``/``-`` over
+polynomials is canonicalised once, so evaluating a flat sum is linear in its
+number of terms.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .rings import (
     CayleyDickson,
@@ -40,6 +43,7 @@ from .rings import (
     element,
     monomial_element,
     scalar,
+    sum_terms,
 )
 from .series import (
     TruncatedSeries,
@@ -53,6 +57,7 @@ from .skewpoly import (
     MultiLaurentPoly,
     OreContext,
     OrePoly,
+    _TermPoly,
 )
 
 
@@ -198,8 +203,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'number' | 'name' | one of + - * ^ ( ) [ ] , | 'eof'
     text: str
     pos: int
@@ -212,14 +216,10 @@ def _tokenize(text: str) -> list[_Token]:
         m = _TOKEN_RE.match(text, pos)
         if not m:
             break
-        if m.lastgroup == "number":
-            out.append(_Token("number", m.group("number"), m.start("number")))
-        elif m.lastgroup == "name":
-            out.append(_Token("name", m.group("name"), m.start("name")))
-        else:
-            op = m.group("op")
-            out.append(_Token(op, op, m.start("op")))
+        group = m.lastgroup
+        tok = m.group(group)
         pos = m.end()
+        out.append(_Token(tok if group == "op" else group, tok, pos - len(tok)))
     rest = text[pos:].strip()
     if rest:
         bad = pos + text[pos:].index(rest[0])
@@ -487,15 +487,44 @@ def _walk(node, leaf):
     The left spine of a ``+ - *`` chain is walked in a loop, so flat sums and
     products of any length stay off Python's stack; only parentheses and unary
     minus recurse, and the parser bounds their depth.
+
+    A run of ``+``/``-`` whose operands are polynomials of one class and
+    context is gathered into one term list and canonicalised once, so an
+    n-term sum costs one ``sum_terms`` pass over its n terms rather than n
+    passes over a growing prefix. A ``*``, a series operand or any other
+    mismatch ends the run; that operand then goes through :func:`_combine`,
+    which keeps the series precision rules and the context errors.
     """
     spine = []
     while isinstance(node, Bin):
         spine.append(node)
         node = node.left
     value = -_walk(node.operand, leaf) if isinstance(node, Neg) else leaf(node)
+    run = None  # the pending terms of ``value`` while a run lasts
     for b in reversed(spine):
-        value = _combine(b.op, value, _walk(b.right, leaf))
-    return value
+        right = _walk(b.right, leaf)
+        if b.op != "*" and _same_carrier(value, right):
+            if run is None:
+                run = list(value.terms)
+            if b.op == "+":
+                run.extend(right.terms)
+            else:
+                run.extend((e, -c) for e, c in right.terms)
+            continue
+        value, run = _close_run(value, run), None
+        value = _combine(b.op, value, right)
+    return _close_run(value, run)
+
+
+def _same_carrier(a, b) -> bool:
+    """Whether ``a`` and ``b`` are polynomials that add term list to term
+    list: the same class over the same context."""
+    return isinstance(a, _TermPoly) and type(a) is type(b) and a.context == b.context
+
+
+def _close_run(value, run):
+    """``value`` with the pending terms ``run`` (if any) as its terms."""
+    return value if run is None else type(value)(value.context, sum_terms(run))
 
 
 def _combine(op: str, a, b):

@@ -172,6 +172,7 @@ class Rationals(RingDescriptor):
     neg_value = staticmethod(operator.neg)
     mul_values = staticmethod(operator.mul)
     scale_value = staticmethod(operator.mul)
+    is_zero_value = staticmethod(operator.not_)
 
     sample_value = staticmethod(_sample_fraction)
 
@@ -271,6 +272,9 @@ class CayleyDickson(RingDescriptor):
     def conj_value(self, a):
         return (a[0], *map(self.base.neg_value, a[1:]))
 
+    def is_zero_value(self, a):
+        return all(map(self.base.is_zero_value, a))
+
     def mul_values(self, x, y):
         table = _sign_table(self.level)
         if isinstance(self.base, Rationals):
@@ -352,6 +356,9 @@ class JordanPlus(RingDescriptor):
     def neg_value(self, a):
         return self.base.neg_value(a)
 
+    def is_zero_value(self, a):
+        return self.base.is_zero_value(a)
+
     def mul_values(self, a, b):
         sym = self.base.add_values(
             self.base.mul_values(a, b), self.base.mul_values(b, a)
@@ -404,6 +411,8 @@ class _PolyRing(RingDescriptor):
 
     def neg_value(self, a):
         return tuple((e, -c) for e, c in a)
+
+    is_zero_value = staticmethod(operator.not_)
 
     def mul_values(self, a, b):
         add = self._add_exponents
@@ -533,6 +542,9 @@ class Matrix(RingDescriptor):
 
     def neg_value(self, a):
         return tuple(tuple(self.base.neg_value(x) for x in row) for row in a)
+
+    def is_zero_value(self, a):
+        return all(all(map(self.base.is_zero_value, row)) for row in a)
 
     def mul_values(self, a, b):
         out = []

@@ -271,16 +271,19 @@ class _TermPoly:
         return e
 
     @classmethod
+    def _term(cls, context, e, c) -> tuple:
+        """The checked pair ``(e, c)``: a valid exponent and a coefficient of
+        the context ring."""
+        e = cls._exponent(context, e)
+        if not isinstance(c, RingElement):
+            raise TypeError("coefficients must be RingElements")
+        if c.descriptor != context.ring:
+            raise ContextMismatch("coefficient descriptor does not match the ring")
+        return e, c
+
+    @classmethod
     def from_terms(cls, context, pairs):
-        checked = []
-        for e, c in pairs:
-            e = cls._exponent(context, e)
-            if not isinstance(c, RingElement):
-                raise TypeError("coefficients must be RingElements")
-            if c.descriptor != context.ring:
-                raise ContextMismatch("coefficient descriptor does not match the ring")
-            checked.append((e, c))
-        return cls(context, sum_terms(checked))
+        return cls(context, sum_terms([cls._term(context, e, c) for e, c in pairs]))
 
     @classmethod
     def zero(cls, context):
@@ -288,7 +291,7 @@ class _TermPoly:
 
     @classmethod
     def constant(cls, context, coeff: RingElement):
-        return cls.from_terms(context, [(0, coeff)])
+        return cls.monomial(context, coeff, 0)
 
     @classmethod
     def one(cls, context):
@@ -296,7 +299,9 @@ class _TermPoly:
 
     @classmethod
     def monomial(cls, context, coeff: RingElement, exponent: int):
-        return cls.from_terms(context, [(exponent, coeff)])
+        """``coeff * X^exponent``, built without a canonicalising pass."""
+        term = cls._term(context, exponent, coeff)
+        return cls(context, (term,) if coeff else ())
 
     @classmethod
     def x(cls, context, exponent: int = 1):
@@ -401,14 +406,14 @@ class MultiLaurentPoly(_TermPoly):
 
     @classmethod
     def constant(cls, context, coeff: RingElement):
-        return cls.from_terms(context, [((0,) * len(context.sigmas), coeff)])
+        return cls.monomial(context, coeff, (0,) * len(context.sigmas))
 
     @classmethod
     def variable(cls, context, index: int, exponent: int = 1):
         """The monomial ``X_(index+1) ^ exponent``."""
         exps = [0] * len(context.sigmas)
         exps[index] = exponent
-        return cls.from_terms(context, [(tuple(exps), one(context.ring))])
+        return cls.monomial(context, one(context.ring), exps)
 
     def _power_text(self, exps) -> str:
         return "*".join(

@@ -271,6 +271,18 @@ def test_cayley_dickson_over_poly1_has_units_and_variables(capsys, cfg):
     assert (code, out, err) == (0, "-1 - Y^2\n", "")
 
 
+def test_nested_cayley_dickson_ring_is_refused(capsys, cfg):
+    config = {
+        "ring": {"cayley_dickson": {"level": 1, "base": {"cayley_dickson": {"level": 1}}}},
+        "sigma": {"kind": "identity"},
+        "structure": "laurent",
+    }
+    code, out, err = run(capsys, ["eval", "--config", cfg(config), "i*X + i"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "basis names would collide" in err
+
+
 def test_divide_requires_ore(capsys, cfg):
     code, _, err = run(capsys, ["divide", "--config", cfg(SIGMA2), "X", "i"])
     assert code == 2 and "ore structure" in err

@@ -32,6 +32,31 @@ def test_descriptor_records():
         parse_descriptor({"matrix": {"base": "rationals"}})
 
 
+@pytest.mark.parametrize(
+    "base",
+    [
+        {"cayley_dickson": {"level": 1}},
+        {"cayley_dickson": {"level": 3}},
+        {"jordan_plus": {"base": {"cayley_dickson": {"level": 2}}}},
+        {"jordan_plus": {"base": {"jordan_plus": {"base": {"cayley_dickson": {"level": 1}}}}}},
+    ],
+    ids=["complex", "octonion", "jordan-quaternion", "jordan-jordan-complex"],
+)
+def test_cayley_dickson_over_named_units_is_refused(base):
+    with pytest.raises(ConfigError, match="basis names would collide"):
+        parse_descriptor({"cayley_dickson": {"level": 1, "base": base}})
+
+
+def test_cayley_dickson_over_unnamed_bases_still_loads():
+    level0 = {"cayley_dickson": {"level": 0}}
+    assert parse_descriptor({"cayley_dickson": {"level": 2, "base": level0}}) == (
+        CayleyDickson(2, CayleyDickson(0))
+    )
+    assert parse_descriptor(
+        {"cayley_dickson": {"level": 1, "base": {"poly1": {}}}}
+    ) == CayleyDickson(1, Poly1())
+
+
 def test_map_records():
     m = parse_map({"kind": "sigma_q_complex", "q": "2"}, COMPLEX_Q)
     assert m.kind == "sigma_q_complex" and m.q == 2

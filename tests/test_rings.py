@@ -11,6 +11,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewlab.rings import (
     COMPLEX_Q,
@@ -347,3 +349,29 @@ def test_rendering_is_canonical():
     m = element(Matrix(2), [[1, 0], [0, -1]])
     assert str(m) == "[[1, 0], [0, -1]]"
     assert str(basis_element(OCTONIONS_Q, 5)) == "e5"
+
+
+ZERO_TEST_RINGS = {
+    "Q": RATIONALS,
+    **{f"CD{lv}/Q": CayleyDickson(lv) for lv in range(5)},
+    **{f"CD{lv}/Poly1": CayleyDickson(lv, Poly1()) for lv in range(5)},
+    "JordanPlus/H": JordanPlus(QUATERNIONS_Q),
+    "JordanPlus/Matrix2": JordanPlus(Matrix(2)),
+    "Poly1": Poly1(),
+    "Poly2": Poly2(),
+    "Matrix2": Matrix(2),
+    "Matrix3": Matrix(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_TEST_RINGS))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32))
+def test_is_zero_value_agrees_with_equality_to_zero(name, seed):
+    d = ZERO_TEST_RINGS[name]
+    a = d.sample_value(Random(seed))
+    values = [a, d.zero_value(), d.one_value(), d.add_values(a, d.neg_value(a))]
+    if isinstance(d, CayleyDickson):
+        values += [basis_element(d, k).value for k in range(1 << d.level)]
+    for v in values:
+        assert d.is_zero_value(v) == (v == d.zero_value())
