@@ -1,14 +1,16 @@
 """Truncated twisted power and Laurent series with explicit precision.
 
-A :class:`TruncatedSeries` stores the coefficient window ``start ..
-precision - 1``; everything at or above ``precision`` is unknown, not zero.
-Every operation computes the largest output precision it can actually prove
-rather than clipping to a global cutoff, so no stored coefficient is ever
-silently wrong. In particular the product of windows known below ``P`` and
-``Q`` is known below ``min(P + start_other, Q + start_self)``.
+A :class:`TruncatedSeries` is a window of exactly known coefficients below
+``precision``; everything at or above ``precision`` is unknown, not zero. The
+window stores only its nonzero terms, so its cost does not depend on its
+precision. Every operation computes the largest output precision it can
+actually prove rather than clipping to a global cutoff, so no stored
+coefficient is ever silently wrong. In particular the product of windows
+known below ``P`` and ``Q`` is known below ``min(P + start_other, Q +
+start_self)``, where ``start`` is the first stored exponent.
 
-An all-zero window has an *unknown* order: truncation can never certify that
-a series is zero. Order is therefore ``int | None``.
+An exhausted window (no stored term) has an *unknown* order: truncation can
+never certify that a series is zero. Order is therefore ``int | None``.
 
 The context is either a :class:`~skewlab.skewpoly.LaurentContext` (negative
 exponents allowed) or an :class:`~skewlab.skewpoly.OreContext` whose delta is
@@ -28,6 +30,7 @@ from .rings import (
     is_associative_division_ring,
     one,
     random_element,
+    sum_terms,
     zero,
 )
 from .skewpoly import (
@@ -52,49 +55,31 @@ def _validate_series_context(ctx):
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Window ``start <= e < precision`` of exactly known coefficients.
+    """Exactly known coefficients below ``precision``.
 
-    Canonical form strips leading zeros (advancing ``start``); an exhausted
-    window has ``start == precision``.
+    ``terms`` is the canonical sparse term list (:func:`rings.sum_terms`):
+    nonzero ``(exponent, coefficient)`` pairs, ascending, every exponent below
+    ``precision``. ``start`` is derived from it: the first exponent, or
+    ``precision`` when the window is exhausted.
     """
 
     context: object
-    start: int
-    coefficients: tuple[RingElement, ...]
+    terms: tuple[tuple[int, RingElement], ...]
     precision: int
-
-    @classmethod
-    def make(cls, context, start: int, coefficients, precision: int):
-        _validate_series_context(context)
-        ring = context.ring
-        coefficients = tuple(coefficients)
-        if start + len(coefficients) != precision:
-            raise ValueError("window length must equal precision - start")
-        if start > precision:
-            raise ValueError("start must not exceed precision")
-        for c in coefficients:
-            if not isinstance(c, RingElement) or c.descriptor != ring:
-                raise ValueError("coefficients must be elements of the context ring")
-        while coefficients and coefficients[0].is_zero():
-            coefficients = coefficients[1:]
-            start += 1
-        if start < 0 and isinstance(context, OreContext):
-            raise ValueError("power series windows start at exponent 0 or above")
-        return cls(context, start, coefficients, precision)
 
     @classmethod
     def from_terms(cls, context, pairs, precision: int):
         """Exact finite terms viewed through a window of the given precision."""
+        _validate_series_context(context)
         ring = context.ring
-        acc = {}
-        for e, c in pairs:
-            if e < precision:
-                acc[e] = acc[e] + c if e in acc else c
-        start = min(acc, default=precision)
-        coeffs = [
-            acc.get(e, zero(ring)) for e in range(start, precision)
-        ]
-        return cls.make(context, start, coeffs, precision)
+        kept = [(e, c) for e, c in pairs if e < precision]
+        for _, c in kept:
+            if not isinstance(c, RingElement) or c.descriptor != ring:
+                raise ValueError("coefficients must be elements of the context ring")
+        window = cls(context, sum_terms(kept), precision)
+        if window.start < 0 and isinstance(context, OreContext):
+            raise ValueError("power series windows start at exponent 0 or above")
+        return window
 
     @classmethod
     def from_poly(cls, p, precision: int):
@@ -103,43 +88,43 @@ class TruncatedSeries:
 
     @classmethod
     def zero_window(cls, context, precision: int):
-        return cls.make(context, precision, (), precision)
+        return cls.from_terms(context, (), precision)
 
     @classmethod
     def one(cls, context, precision: int):
         return cls.from_terms(context, [(0, one(context.ring))], precision)
 
+    @property
+    def start(self) -> int:
+        return self.terms[0][0] if self.terms else self.precision
+
+    @property
+    def coefficients(self) -> tuple[RingElement, ...]:
+        """Dense view of ``start .. precision - 1``, zeros included. Only the
+        benchmark tracer and the product-kernel reference test read it."""
+        known = dict(self.terms)
+        z = zero(self.context.ring)
+        return tuple(known.get(e, z) for e in range(self.start, self.precision))
+
     def coefficient(self, e: int) -> RingElement:
         if e >= self.precision:
             raise ValueError(f"coefficient of X^{e} is beyond this precision")
-        if e < self.start:
-            return zero(self.context.ring)
-        return self.coefficients[e - self.start]
+        return dict(self.terms).get(e, zero(self.context.ring))
 
     def order(self):
         """Least exponent with a nonzero stored coefficient; ``None`` when the
         window is exhausted (the series may still be nonzero above it)."""
-        for idx, c in enumerate(self.coefficients):
-            if not c.is_zero():
-                return self.start + idx
-        return None
+        return self.terms[0][0] if self.terms else None
 
     def leading_coefficient(self) -> RingElement:
-        o = self.order()
-        if o is None:
+        if not self.terms:
             raise ValueError("order unknown at this precision")
-        return self.coefficient(o)
+        return self.terms[0][1]
 
     def truncate(self, precision: int) -> "TruncatedSeries":
         if precision > self.precision:
             raise ValueError("cannot raise precision")
-        start = min(self.start, precision)
-        return TruncatedSeries.make(
-            self.context,
-            start,
-            self.coefficients[: max(0, precision - self.start)],
-            precision,
-        )
+        return TruncatedSeries.from_terms(self.context, self.terms, precision)
 
     def _require_same_context(self, other):
         if not isinstance(other, TruncatedSeries) or other.context != self.context:
@@ -148,23 +133,13 @@ class TruncatedSeries:
     def __add__(self, other):
         self._require_same_context(other)
         precision = min(self.precision, other.precision)
-        start = min(self.start, other.start, precision)
-        coeffs = [
-            self._padded(e) + other._padded(e) for e in range(start, precision)
-        ]
-        return TruncatedSeries.make(self.context, start, coeffs, precision)
-
-    def _padded(self, e: int) -> RingElement:
-        if self.start <= e < self.precision:
-            return self.coefficients[e - self.start]
-        return zero(self.context.ring)
+        return TruncatedSeries.from_terms(
+            self.context, self.terms + other.terms, precision
+        )
 
     def __neg__(self):
         return TruncatedSeries(
-            self.context,
-            self.start,
-            tuple(-c for c in self.coefficients),
-            self.precision,
+            self.context, tuple((e, -c) for e, c in self.terms), self.precision
         )
 
     def __sub__(self, other):
@@ -173,17 +148,9 @@ class TruncatedSeries:
     def __mul__(self, other):
         return series_mul(self, other)
 
-    def nonzero_terms(self) -> list[tuple[int, RingElement]]:
-        """The known nonzero ``(exponent, coefficient)`` pairs, ascending."""
-        return [
-            (self.start + i, c)
-            for i, c in enumerate(self.coefficients)
-            if not c.is_zero()
-        ]
-
     def __str__(self):
         body = render_terms_text(
-            self.context.ring, self.nonzero_terms(), lambda e: _var_power("X", e)
+            self.context.ring, self.terms, lambda e: _var_power("X", e)
         )
         tail = f"O(X^{self.precision})"
         return tail if body == "0" else f"{body} + {tail}"
@@ -202,7 +169,7 @@ def series_mul(p: TruncatedSeries, q: TruncatedSeries) -> TruncatedSeries:
     """Product, exact below ``min(p.precision + q.start, q.precision + p.start)``."""
     p._require_same_context(q)
     precision = min(p.precision + q.start, q.precision + p.start)
-    return _exact_below(p.context, p.nonzero_terms(), q.nonzero_terms(), precision)
+    return _exact_below(p.context, p.terms, q.terms, precision)
 
 
 def shift_scale(g: TruncatedSeries, k: RingElement, e: int) -> TruncatedSeries:
@@ -212,7 +179,7 @@ def shift_scale(g: TruncatedSeries, k: RingElement, e: int) -> TruncatedSeries:
     ``g.precision + e``: each term maps ``(g_m X^m)(k X^e) = (g_m sigma^m(k))
     X^(m+e)``.
     """
-    return _exact_below(g.context, g.nonzero_terms(), [(e, k)], g.precision + e)
+    return _exact_below(g.context, g.terms, [(e, k)], g.precision + e)
 
 
 def poly_times_series(p, s: TruncatedSeries) -> TruncatedSeries:
@@ -220,7 +187,7 @@ def poly_times_series(p, s: TruncatedSeries) -> TruncatedSeries:
     order(p)`` since every contributing left factor is exact."""
     if p.is_zero():
         return TruncatedSeries.zero_window(s.context, s.precision)
-    return _exact_below(s.context, p.terms, s.nonzero_terms(), s.precision + p.order())
+    return _exact_below(s.context, p.terms, s.terms, s.precision + p.order())
 
 
 def series_times_poly(s: TruncatedSeries, p) -> TruncatedSeries:
@@ -228,7 +195,7 @@ def series_times_poly(s: TruncatedSeries, p) -> TruncatedSeries:
     order(p)``, each right term acting as in :func:`shift_scale`."""
     if p.is_zero():
         return TruncatedSeries.zero_window(s.context, s.precision)
-    return _exact_below(s.context, s.nonzero_terms(), p.terms, s.precision + p.order())
+    return _exact_below(s.context, s.terms, p.terms, s.precision + p.order())
 
 
 @dataclass(frozen=True)
@@ -296,10 +263,11 @@ def replay_reduction(
     generators, steps, remainder: TruncatedSeries
 ) -> TruncatedSeries:
     """Rebuild ``sum_i g_(idx_i) * (k_i X^(shift_i)) + remainder``."""
+    generators = list(generators)
     acc = remainder
     for step in steps:
         acc = acc + shift_scale(
-            list(generators)[step.generator_index], step.multiplier, step.shift
+            generators[step.generator_index], step.multiplier, step.shift
         )
     return acc
 
@@ -308,8 +276,7 @@ def agree_below(a: TruncatedSeries, b: TruncatedSeries, bound: int) -> bool:
     """Exact coefficient agreement for every exponent below ``bound``."""
     if bound > min(a.precision, b.precision):
         raise ValueError("bound exceeds a known precision")
-    low = min(a.start, b.start, bound)
-    return all(a._padded(e) == b._padded(e) for e in range(low, bound))
+    return a.truncate(bound).terms == b.truncate(bound).terms
 
 
 def random_series(ctx, rng: Random, precision: int, min_exp: int = 0,

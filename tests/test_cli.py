@@ -1,10 +1,13 @@
 """Command-line tests: subcommands, exit codes, deterministic output."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from skewlab.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 WEYL = {
     "ring": {"poly1": {"variable": "Y"}},
@@ -91,6 +94,25 @@ def test_series_command(capsys, cfg):
         capsys, ["series", "--config", path, "--precision", "5", "1 + X"]
     )
     assert code == 0 and out.strip() == "1 + X + O(X^5)"
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (["--precision", "100000000", "1 + X"], "1 + X + O(X^100000000)"),
+        (
+            ["(1 + X + O(X^100000000))*(1 - X + O(X^100000000))"],
+            "1 - X^2 + O(X^100000000)",
+        ),
+    ],
+    ids=["precision-flag", "tail-product"],
+)
+def test_series_cost_does_not_grow_with_precision(capsys, argv, printed):
+    # A window that stored one coefficient per exponent would build a
+    # 10^8-entry tuple here and not finish in reasonable time.
+    config = str(CONFIGS / "rational_power_series.json")
+    code, out, err = run(capsys, ["series", "--config", config] + argv)
+    assert (code, out, err) == (0, printed + "\n", "")
 
 
 def test_check_suites_pass(capsys, cfg):

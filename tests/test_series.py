@@ -3,6 +3,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewlab.maps import (
     ConjugationMap,
@@ -266,3 +268,145 @@ def test_series_rendering():
     s = TruncatedSeries.from_terms(ctx, [(0, one_el), (2, -one_el)], 5)
     assert str(s) == "1 - X^2 + O(X^5)"
     assert str(TruncatedSeries.zero_window(ctx, 5)) == "O(X^5)"
+
+
+# Dense reference for window arithmetic: one coefficient per exponent in
+# ``start .. precision - 1``, zeros included, leading zeros stripped. Each
+# window is the triple ``(start, coefficients, precision)``.
+
+
+def dense_strip(start, coeffs, precision):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[0].is_zero():
+        coeffs.pop(0)
+        start += 1
+    return start, tuple(coeffs), precision
+
+
+def dense_from_terms(ring, pairs, precision):
+    acc = {}
+    for e, c in pairs:
+        if e < precision:
+            acc[e] = acc[e] + c if e in acc else c
+    start = min(acc, default=precision)
+    coeffs = [acc.get(e, zero(ring)) for e in range(start, precision)]
+    return dense_strip(start, coeffs, precision)
+
+
+def dense_padded(ring, window, e):
+    start, coeffs, precision = window
+    if start <= e < precision:
+        return coeffs[e - start]
+    return zero(ring)
+
+
+def dense_add(ring, a, b):
+    precision = min(a[2], b[2])
+    start = min(a[0], b[0], precision)
+    coeffs = [
+        dense_padded(ring, a, e) + dense_padded(ring, b, e)
+        for e in range(start, precision)
+    ]
+    return dense_strip(start, coeffs, precision)
+
+
+def dense_neg(window):
+    start, coeffs, precision = window
+    return start, tuple(-c for c in coeffs), precision
+
+
+def dense_truncate(window, precision):
+    start, coeffs, _ = window
+    start = min(start, precision)
+    return dense_strip(start, coeffs[: max(0, precision - start)], precision)
+
+
+def as_dense(s):
+    return s.start, s.coefficients, s.precision
+
+
+def power_q_ctx():
+    return OreContext(RATIONALS, IdentityMap(RATIONALS), ZeroMap(RATIONALS))
+
+
+# (context, least exponent, least precision): the power series window starts
+# at 0, the Laurent ones may start and end below 0.
+WINDOW_CONTEXTS = {
+    "power-q": (power_q_ctx, 0, 1),
+    "laurent-q": (q_laurent_ctx, -4, -3),
+    "laurent-sigma2": (sigma2_ctx, -4, -3),
+}
+
+
+def small_coefficient(ring, a, b):
+    if ring == COMPLEX_Q:
+        return scalar(ring, a) + scalar(ring, b) * basis_element(ring, 1)
+    return scalar(ring, a)
+
+
+@st.composite
+def window_pairs(draw, ring, low, least_precision):
+    """Raw terms and a precision; exponents reach past the precision, and
+    the small coefficients make repeated exponents cancel often."""
+    precision = draw(st.integers(least_precision, 8))
+    pairs = draw(st.lists(
+        st.tuples(
+            st.integers(low, max(low, precision + 2)),
+            st.integers(-2, 2),
+            st.integers(-1, 1),
+        ),
+        max_size=8,
+    ))
+    return [(e, small_coefficient(ring, a, b)) for e, a, b in pairs], precision
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_CONTEXTS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_window_arithmetic_matches_dense_reference(name, data):
+    make_ctx, low, least_precision = WINDOW_CONTEXTS[name]
+    ctx = make_ctx()
+    ring = ctx.ring
+    pairs_a, prec_a = data.draw(window_pairs(ring, low, least_precision))
+    pairs_b, prec_b = data.draw(window_pairs(ring, low, least_precision))
+    a = TruncatedSeries.from_terms(ctx, pairs_a, prec_a)
+    b = TruncatedSeries.from_terms(ctx, pairs_b, prec_b)
+    ref_a = dense_from_terms(ring, pairs_a, prec_a)
+    ref_b = dense_from_terms(ring, pairs_b, prec_b)
+    assert as_dense(a) == ref_a
+    assert as_dense(b) == ref_b
+    assert as_dense(a + b) == dense_add(ring, ref_a, ref_b)
+    assert as_dense(a - b) == dense_add(ring, ref_a, dense_neg(ref_b))
+    assert as_dense(-a) == dense_neg(ref_a)
+    exhausted = a - a
+    assert as_dense(exhausted) == (prec_a, (), prec_a)
+    assert exhausted.order() is None
+
+    for s, ref in ((a, ref_a), (a + b, dense_add(ring, ref_a, ref_b))):
+        start, coeffs, precision = ref
+        nonzero = [start + i for i, c in enumerate(coeffs) if not c.is_zero()]
+        assert s.order() == (nonzero[0] if nonzero else None)
+        if nonzero:
+            assert s.leading_coefficient() == dense_padded(ring, ref, nonzero[0])
+        else:
+            with pytest.raises(ValueError):
+                s.leading_coefficient()
+        for e in range(low, precision):
+            assert s.coefficient(e) == dense_padded(ring, ref, e)
+        with pytest.raises(ValueError):
+            s.coefficient(precision)
+        for cut in range(low, precision + 1):
+            assert as_dense(s.truncate(cut)) == dense_truncate(ref, cut)
+        with pytest.raises(ValueError):
+            s.truncate(precision + 1)
+
+    shared = min(prec_a, prec_b)
+    for bound in range(min(low, shared), shared + 1):
+        expected = all(
+            dense_padded(ring, ref_a, e) == dense_padded(ring, ref_b, e)
+            for e in range(min(ref_a[0], ref_b[0], bound), bound)
+        )
+        assert agree_below(a, b, bound) is expected
+        assert agree_below(a, a + (b - b), bound)
+    with pytest.raises(ValueError):
+        agree_below(a, b, shared + 1)
