@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .config import ConfigError, Session, load_session
 from .noetherian import CounterexampleConfig, counterexample_witness
@@ -20,7 +21,9 @@ from .suites import SUITE_NAMES, run_suite
 _USER_ERRORS = (ValueError, NotInvertible)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="skewlab",
         description=(

@@ -46,6 +46,7 @@ from .rings import (
     Poly2,
     Rationals,
     RingDescriptor,
+    UnsupportedDescriptor,
     as_rational,
 )
 from .skewpoly import IteratedLaurentContext, LaurentContext, OreContext
@@ -69,17 +70,6 @@ def parse_descriptor(obj) -> RingDescriptor:
             return Rationals()
         if kind == "cayley_dickson":
             base = parse_descriptor(params.get("base", "rationals"))
-            inner = base
-            while isinstance(inner, JordanPlus):
-                inner = inner.base
-            if isinstance(inner, CayleyDickson) and inner.level >= 1:
-                # Both rings would name their units i, j, k, e1, ...: two
-                # different elements would print alike, and the base's units
-                # could not be written at all.
-                raise ConfigError(
-                    "a cayley_dickson ring over a cayley_dickson base of level "
-                    ">= 1 is not supported: their basis names would collide"
-                )
             return CayleyDickson(int(params["level"]), base)
         if kind == "jordan_plus":
             return JordanPlus(parse_descriptor(params["base"]))
@@ -92,6 +82,8 @@ def parse_descriptor(obj) -> RingDescriptor:
             return Matrix(int(params["n"]), parse_descriptor(base))
     except KeyError as exc:
         raise ConfigError(f"ring record {kind!r} is missing {exc}") from None
+    except UnsupportedDescriptor as exc:
+        raise ConfigError(str(exc)) from None
     raise ConfigError(f"unknown ring kind {kind!r}")
 
 

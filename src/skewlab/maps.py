@@ -46,7 +46,13 @@ class NoInverse(ValueError):
 
 
 class TwistMap:
-    """Base class; instances are immutable and safe to share."""
+    """Base class; instances are immutable and safe to share.
+
+    Two maps are equal when they are of the same class and their ``_key()``
+    values agree, so a subclass that carries parameters must put them in its
+    ``_key``. Contexts rely on this: they skip a spot check already passed by
+    an equal map on an equal ring.
+    """
 
     kind = "abstract"
 
@@ -81,7 +87,7 @@ class TwistMap:
         return (self.kind, self.domain)
 
     def __eq__(self, other):
-        return isinstance(other, TwistMap) and self._key() == other._key()
+        return type(self) is type(other) and self._key() == other._key()
 
     def __hash__(self):
         return hash(self._key())
@@ -340,7 +346,7 @@ class PowerMap(TwistMap):
         super().__init__(base.domain, claims, base.has_inverse or exponent == 0)
 
     def _key(self):
-        return (self.kind, self.base._key(), self.exponent)
+        return (self.kind, self.base, self.exponent)
 
     def _apply(self, a):
         return power_apply(self.base, self.exponent, a)
@@ -376,7 +382,7 @@ class CompositionMap(TwistMap):
         super().__init__(domain, claims, all(m.has_inverse for m in parts))
 
     def _key(self):
-        return (self.kind, tuple(m._key() for m in self.parts))
+        return (self.kind, self.parts)
 
     def _apply(self, a):
         for m in reversed(self.parts):

@@ -234,6 +234,17 @@ class CayleyDickson(RingDescriptor):
     base: RingDescriptor = RATIONALS
 
     def __post_init__(self):
+        inner = self.base
+        while isinstance(inner, JordanPlus):
+            inner = inner.base
+        if isinstance(inner, CayleyDickson) and inner.level >= 1:
+            # Both rings would name their units i, j, k, e1, ...: two
+            # different elements would print alike, and the base's units
+            # could not be written at all.
+            raise UnsupportedDescriptor(
+                "a cayley_dickson ring over a cayley_dickson base of level "
+                ">= 1 is not supported: their basis names would collide"
+            )
         if not 0 <= self.level <= 4:
             raise UnsupportedDescriptor(
                 f"Cayley-Dickson level must be in 0..4, got {self.level}"
@@ -312,12 +323,6 @@ class CayleyDickson(RingDescriptor):
         return tuple(terms)
 
 
-COMPLEX_Q = CayleyDickson(1)
-QUATERNIONS_Q = CayleyDickson(2)
-OCTONIONS_Q = CayleyDickson(3)
-SEDENIONS_Q = CayleyDickson(4)
-
-
 @dataclass(frozen=True)
 class JordanPlus(RingDescriptor):
     """Same carrier as ``base``, product ``{a, b} = (ab + ba) / 2``.
@@ -373,6 +378,12 @@ class JordanPlus(RingDescriptor):
 
     def render_terms(self, a):
         return self.base.render_terms(a)
+
+
+COMPLEX_Q = CayleyDickson(1)
+QUATERNIONS_Q = CayleyDickson(2)
+OCTONIONS_Q = CayleyDickson(3)
+SEDENIONS_Q = CayleyDickson(4)
 
 
 def _var_power(name: str, e: int) -> str:

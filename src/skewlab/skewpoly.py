@@ -27,11 +27,18 @@ nonzero table entry. Nothing is recomputed per term pair.
 
 Polynomials are immutable; the degree of the zero polynomial is the
 ``NEG_INFINITY`` sentinel (and its order ``POS_INFINITY``), never an integer.
+
+The sampled entry checks of :class:`LaurentContext` (inverse round trip) and
+:class:`IteratedLaurentContext` (commuting sigmas) draw from ``Random(0)``,
+so their outcome depends only on the ring and the maps. A passed check is
+cached on that key, with maps compared class-exactly, and is not rerun when
+an equal context is built again in the same process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from random import Random
 
@@ -104,6 +111,33 @@ class OreContext:
                 return table
 
 
+# The sampled entry checks, cached per (ring, maps) as the module docstring
+# says. A raising call leaves no cache entry, so only passes are remembered.
+
+
+@lru_cache(maxsize=256)
+def _check_round_trip(ring: RingDescriptor, sigma: TwistMap) -> None:
+    """Raise unless ``sigma^-1(sigma(a)) == a`` on 200 sampled ``a``."""
+    rng = Random(0)
+    for _ in range(200):
+        a = random_element(ring, rng)
+        if sigma.apply_inverse(sigma.apply(a)) != a:
+            raise ValueError(f"sigma inverse round trip failed at {a}")
+
+
+@lru_cache(maxsize=256)
+def _check_commuting(ring: RingDescriptor, sigmas: tuple) -> None:
+    """Raise unless every pair of ``sigmas`` commutes on 100 sampled values."""
+    rng = Random(0)
+    for i in range(len(sigmas)):
+        for j in range(i + 1, len(sigmas)):
+            si, sj = sigmas[i], sigmas[j]
+            for _ in range(100):
+                a = random_element(ring, rng)
+                if si.apply(sj.apply(a)) != sj.apply(si.apply(a)):
+                    raise ValueError(f"sigmas {i} and {j} fail to commute at {a}")
+
+
 @dataclass(frozen=True)
 class LaurentContext:
     """Ring plus an invertible sigma; the inverse is spot-checked on entry."""
@@ -119,11 +153,7 @@ class LaurentContext:
             raise NoInverse("a Laurent context needs an invertible sigma")
         if self.sigma.apply(one(self.ring)) != one(self.ring):
             raise ValueError("sigma(1) != 1")
-        rng = Random(0)
-        for _ in range(200):
-            a = random_element(self.ring, rng)
-            if self.sigma.apply_inverse(self.sigma.apply(a)) != a:
-                raise ValueError(f"sigma inverse round trip failed at {a}")
+        _check_round_trip(self.ring, self.sigma)
 
     def twists(self, s: RingElement, n: int, exponents) -> dict:
         """``{m: [(m + n, sigma^m(s))]}`` from one walk of sigma powers."""
@@ -150,16 +180,7 @@ class IteratedLaurentContext:
                 raise NoInverse("iterated contexts need invertible sigmas")
             if s.apply(one(self.ring)) != one(self.ring):
                 raise ValueError("sigma(1) != 1")
-        rng = Random(0)
-        for i in range(len(self.sigmas)):
-            for j in range(i + 1, len(self.sigmas)):
-                si, sj = self.sigmas[i], self.sigmas[j]
-                for _ in range(100):
-                    a = random_element(self.ring, rng)
-                    if si.apply(sj.apply(a)) != sj.apply(si.apply(a)):
-                        raise ValueError(
-                            f"sigmas {i} and {j} fail to commute at {a}"
-                        )
+        _check_commuting(self.ring, self.sigmas)
 
     def twists(self, s: RingElement, n: tuple, exponents) -> dict:
         """``{u: [(u + n, sigma_1^(u_1) o ... o sigma_k^(u_k) (s))]}`` with
@@ -238,7 +259,16 @@ def twisted_product(ctx, left, right, limit=None) -> tuple:
     ``ctx.twists(s, n, ms)`` maps each left exponent ``m`` to the pairs
     ``(e, t)`` with ``(r X^m)(s X^n) = sum r t X^e``. With ``limit`` (series
     windows, where ``e = m + n``) pairs with ``m + n >= limit`` are skipped.
+
+    A constant left factor ``c`` needs no table: ``pi_0^0`` and ``sigma^0``
+    are the identity, so each right term ``s X^n`` becomes ``(c*s) X^n``,
+    dropped when ``c*s`` is zero (``Matrix`` has zero divisors).
     """
+    if len(left) == 1:
+        m, c = left[0]
+        if not (any(m) if isinstance(m, tuple) else m):
+            pairs = ((n, c * s) for n, s in right if limit is None or n < limit)
+            return tuple((n, t) for n, t in pairs if t)
 
     def products():
         for n, s in right:

@@ -1,0 +1,97 @@
+"""Contexts run their sampled spot checks once per equal ``(ring, maps)`` key.
+
+``LaurentContext`` checks the inverse round trip and ``IteratedLaurentContext``
+checks that its sigmas commute, each on a ``Random(0)`` sample. Both results
+are cached on the ring and the maps, so these tests pin what the cache may
+skip (a repeat of a passed check on an equal key) and what it may not (any
+failing check, and any map of another class, even one with the same kind).
+"""
+
+import pytest
+
+from skewlab import skewpoly
+from skewlab.maps import (
+    CompositionMap,
+    ConjugationMap,
+    CounterexampleSigma,
+    IdentityMap,
+    PowerMap,
+)
+from skewlab.rings import COMPLEX_Q, SEDENIONS_Q, Poly2, element, random_element
+from skewlab.skewpoly import IteratedLaurentContext, LaurentContext
+
+P2 = Poly2()
+
+
+@pytest.fixture(autouse=True)
+def empty_caches():
+    skewpoly._check_round_trip.cache_clear()
+    skewpoly._check_commuting.cache_clear()
+
+
+class BrokenInverse(ConjugationMap):
+    """Conjugation that bundles the identity as its inverse."""
+
+    def _apply_inverse(self, a):
+        return a
+
+
+class SwapVariables(IdentityMap):
+    """Claims what the identity claims, but swaps the two variables."""
+
+    def _apply(self, a):
+        return element(self.domain, [((b, y), c) for (y, b), c in a.value])
+
+    _apply_inverse = _apply
+
+
+def test_equal_contexts_sample_once(monkeypatch):
+    draws = []
+
+    def counting(ring, rng):
+        draws.append(ring)
+        return random_element(ring, rng)
+
+    monkeypatch.setattr(skewpoly, "random_element", counting)
+    first = LaurentContext(SEDENIONS_Q, ConjugationMap(SEDENIONS_Q))
+    second = LaurentContext(SEDENIONS_Q, ConjugationMap(SEDENIONS_Q))
+    assert first == second
+    assert len(draws) == 200
+
+
+def test_subclass_with_broken_inverse_is_checked_after_its_base():
+    LaurentContext(COMPLEX_Q, ConjugationMap(COMPLEX_Q))
+    assert BrokenInverse(COMPLEX_Q) != ConjugationMap(COMPLEX_Q)
+    with pytest.raises(ValueError, match="round trip failed"):
+        LaurentContext(COMPLEX_Q, BrokenInverse(COMPLEX_Q))
+
+
+def test_failing_contexts_raise_on_every_construction():
+    for _ in range(3):
+        with pytest.raises(ValueError, match="round trip failed"):
+            LaurentContext(COMPLEX_Q, BrokenInverse(COMPLEX_Q))
+        with pytest.raises(ValueError, match="fail to commute"):
+            IteratedLaurentContext(P2, (CounterexampleSigma(P2), SwapVariables(P2)))
+
+
+def test_non_commuting_sigmas_are_checked_after_commuting_ones():
+    IteratedLaurentContext(P2, (CounterexampleSigma(P2), IdentityMap(P2)))
+    assert SwapVariables(P2) != IdentityMap(P2)
+    with pytest.raises(ValueError, match="sigmas 0 and 1 fail to commute"):
+        IteratedLaurentContext(P2, (CounterexampleSigma(P2), SwapVariables(P2)))
+
+
+def test_composite_maps_compare_their_parts_class_exactly():
+    base, sub = ConjugationMap(COMPLEX_Q), BrokenInverse(COMPLEX_Q)
+    ident = IdentityMap(COMPLEX_Q)
+    assert PowerMap(base, 1) == PowerMap(ConjugationMap(COMPLEX_Q), 1)
+    assert hash(PowerMap(base, 1)) == hash(PowerMap(ConjugationMap(COMPLEX_Q), 1))
+    assert PowerMap(base, 1) != PowerMap(sub, 1)
+    assert CompositionMap([base, ident]) == CompositionMap([ConjugationMap(COMPLEX_Q), ident])
+    assert CompositionMap([base, ident]) != CompositionMap([sub, ident])
+    LaurentContext(COMPLEX_Q, PowerMap(base, 1))
+    LaurentContext(COMPLEX_Q, CompositionMap([base, ident]))
+    with pytest.raises(ValueError, match="round trip failed"):
+        LaurentContext(COMPLEX_Q, PowerMap(sub, 1))
+    with pytest.raises(ValueError, match="round trip failed"):
+        LaurentContext(COMPLEX_Q, CompositionMap([sub, ident]))

@@ -11,13 +11,18 @@ with the kernel:
 
 The work-count tests wrap sigma and delta in a counting map and bound the
 number of map applications a product may spend; they never look at time.
+A constant left factor builds no twist table at all: its products are checked
+against the same references, and ``c*X^e`` leaves may make no ``twists`` call.
 """
 
+from pathlib import Path
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewlab.config import load_session
 from skewlab.maps import (
     CoefficientDoubler,
     ConjugationMap,
@@ -25,6 +30,7 @@ from skewlab.maps import (
     IdentityMap,
     QuantumTorusSigma,
     SigmaQComplex,
+    TransposeMap,
     TwistMap,
     ZeroMap,
     power_apply,
@@ -32,8 +38,10 @@ from skewlab.maps import (
 from skewlab.rings import (
     COMPLEX_Q,
     QUATERNIONS_Q,
+    Matrix,
     Poly1,
     basis_element,
+    element,
     monomial_element,
     random_element,
     scalar,
@@ -52,9 +60,11 @@ from skewlab.skewpoly import (
     MultiLaurentPoly,
     OreContext,
     OrePoly,
+    twisted_product,
 )
 from test_skewpoly import pi_by_words
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 P1 = Poly1()
 QUAT = QUATERNIONS_Q
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -278,3 +288,74 @@ def test_laurent_product_walks_sigma_powers_once_per_right_coefficient():
     product = p * q
     assert sigma.calls <= 40 * len(q.terms)
     assert product == laurent_reference(p, q)
+
+
+# --- constant left factors ------------------------------------------------------
+
+MATRIX_LAURENT = LaurentContext(Matrix(2), TransposeMap(Matrix(2)))
+
+
+@SETTINGS
+@given(st.data())
+def test_constant_left_factors_match_the_references(data):
+    # A constant left factor skips the twist table: pi_0^0 and sigma^0 are
+    # the identity. Its products must still agree with the pairwise loops.
+    cases = (
+        (WEYL, OrePoly, ore_reference, 0),
+        (QUAT_ORE, OrePoly, ore_reference, 0),
+        (SIGMA2, LaurentPoly, laurent_reference, -4),
+        (MATRIX_LAURENT, LaurentPoly, laurent_reference, -4),
+    )
+    for ctx, cls, reference, lo in cases:
+        p = cls.constant(ctx, data.draw(coefficients(ctx.ring)))
+        q = data.draw(polys(cls, ctx, lo, 4))
+        assert p * q == reference(p, q)
+        limit = data.draw(st.integers(lo, 5))
+        assert twisted_product(ctx, p.terms, q.terms, limit) == tuple(
+            (e, c) for e, c in reference(p, q).terms if e < limit
+        )
+    for ctx in (TORUS, COMPLEX_PAIR):
+        p = MultiLaurentPoly.constant(ctx, data.draw(coefficients(ctx.ring)))
+        q = data.draw(multi_polys(ctx))
+        assert p * q == multi_reference(p, q)
+    for ctx, lo, cls in ((QUAT_ORE, 0, OrePoly), (QUAT_LAURENT, -4, LaurentPoly)):
+        p = cls.constant(ctx, data.draw(coefficients(ctx.ring)))
+        s = data.draw(windows(ctx, lo, data.draw(st.integers(1, 8))))
+        if not p.is_zero():
+            assert poly_times_series(p, s) == windowed_reference(
+                ctx, p.terms, stored(s), s.precision
+            )
+
+
+def test_constant_left_factor_drops_zero_divisor_products():
+    e11 = element(Matrix(2), [[1, 0], [0, 0]])
+    e22 = element(Matrix(2), [[0, 0], [0, 1]])
+    p = LaurentPoly.constant(MATRIX_LAURENT, e11)
+    q = LaurentPoly.from_terms(MATRIX_LAURENT, [(-1, e22), (2, e11 + e22)])
+    assert (p * q).terms == ((2, e11),)
+    assert (p * LaurentPoly.constant(MATRIX_LAURENT, e22)).is_zero()
+
+
+@pytest.mark.parametrize(
+    "config, leaf, text",
+    [
+        ("weyl.json", "3/4*X^2", "3/4*X^2"),
+        ("weyl.json", "(1 + Y)*X^3", "(1 + Y)*X^3"),
+        ("complex_sigma2_laurent.json", "i*X^-2", "i*X^-2"),
+        ("quantum_torus.json", "Y^2*X1^3", "Y^2*X1^3"),
+        ("quantum_torus.json", "2*X2^-1", "2*X2^-1"),
+        ("rational_power_series.json", "3*X^2", "3*X^2 + O(X^16)"),
+    ],
+)
+def test_constant_leaves_build_no_twist_table(monkeypatch, config, leaf, text):
+    session = load_session(CONFIGS / config)
+    calls = []
+    for cls in (OreContext, LaurentContext, IteratedLaurentContext):
+
+        def counting(self, *args, _twists=cls.twists):
+            calls.append(args)
+            return _twists(self, *args)
+
+        monkeypatch.setattr(cls, "twists", counting)
+    assert str(session.evaluate(leaf)) == text
+    assert calls == []

@@ -284,6 +284,24 @@ def test_cayley_dickson_level_cap():
         CayleyDickson(-1)
 
 
+@pytest.mark.parametrize(
+    "base",
+    [COMPLEX_Q, OCTONIONS_Q, JordanPlus(QUATERNIONS_Q), JordanPlus(JordanPlus(COMPLEX_Q))],
+    ids=["complex", "octonion", "jordan-quaternion", "jordan-jordan-complex"],
+)
+def test_cayley_dickson_over_named_units_is_refused(base):
+    # Both rings would name their units i, j, k, eN, so ((0, 1), (0, 0)) and
+    # ((0, 0), (1, 0)) would both print as i.
+    with pytest.raises(UnsupportedDescriptor, match="basis names would collide"):
+        CayleyDickson(1, base)
+
+
+def test_cayley_dickson_over_unnamed_bases_still_builds():
+    assert CayleyDickson(2, CayleyDickson(0)).is_associative
+    assert str(basis_element(CayleyDickson(1, Poly1()), 1)) == "i"
+    assert CayleyDickson(1, JordanPlus(Matrix(2))).base == JordanPlus(Matrix(2))
+
+
 Y2 = Poly2()
 
 
