@@ -24,13 +24,24 @@ power of X.
 The Cayley-Dickson product is the doubling rule
 ``(a, b) * (c, d) = (a*c - conj(d)*b, d*a + b*conj(c))`` with conjugation
 ``conj((a, b)) = (conj(a), -b)`` and identity conjugation at level 0, read
-from a sign table ``e_i * e_j = +-e_(i XOR j)`` built once per level; over the
-rationals it is summed in integers over a common denominator.
+from a sign table ``e_i * e_j = +-e_(i XOR j)`` built once per level.
+
+Besides the product, every ring has one fused sum of products,
+:meth:`RingDescriptor.dot_values`: the canonical value of ``sum(a*b for a, b
+in pairs)``. Twisted products sum each output coefficient with it, and the
+product of a Cayley-Dickson ring over the rationals, a polynomial ring, a
+Jordan ring or a matrix ring is its dot of one pair. Over the rationals
+(``Rationals``, Cayley-Dickson coordinates, polynomial coefficients, and
+matrix entries over them) the products are accumulated as integer numerators
+over the lcm of their denominators, so each result coordinate costs one
+``Fraction``, not one per product. Cayley-Dickson rings over other bases
+fold their products into sums.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -128,6 +139,16 @@ class RingDescriptor:
     def mul_values(self, a: Any, b: Any) -> Any:
         raise NotImplementedError
 
+    def dot_values(self, pairs) -> Any:
+        """The canonical value of ``sum(a*b for a, b in pairs)``, each product
+        taken in the order ``a*b``, from a sequence of value pairs; the zero
+        value when ``pairs`` is empty. This default folds ``mul_values``
+        into ``add_values``; rings with a fused sum override it."""
+        return reduce(
+            self.add_values, (self.mul_values(a, b) for a, b in pairs),
+            self.zero_value(),
+        )
+
     def scale_value(self, a: Any, q: Fraction) -> Any:
         raise NotImplementedError
 
@@ -147,6 +168,20 @@ class RingDescriptor:
 
 def _sample_fraction(rng: Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def _fraction_sum(ratios) -> Fraction:
+    """``sum(n / d for n, d in ratios)``: integer numerators over the lcm of
+    the denominators, one ``Fraction`` in all."""
+    if len(ratios) == 1:
+        return Fraction(*ratios[0])
+    den = lcm(*[d for _, d in ratios])
+    return Fraction(sum([n * (den // d) for n, d in ratios]), den)
+
+
+def _rational_dot(pairs) -> Fraction:
+    ratios = [(*a.as_integer_ratio(), *b.as_integer_ratio()) for a, b in pairs]
+    return _fraction_sum([(an * bn, ad * bd) for an, ad, bn, bd in ratios])
 
 
 @dataclass(frozen=True)
@@ -171,6 +206,7 @@ class Rationals(RingDescriptor):
     add_values = staticmethod(operator.add)
     neg_value = staticmethod(operator.neg)
     mul_values = staticmethod(operator.mul)
+    dot_values = staticmethod(_rational_dot)
     scale_value = staticmethod(operator.mul)
     is_zero_value = staticmethod(operator.not_)
 
@@ -222,8 +258,9 @@ def _sign_table(level: int) -> tuple:
 
 def _integers(x) -> tuple[list[int], int]:
     """Rationals ``x`` as integer numerators over their lcm denominator."""
-    den = lcm(*(c.denominator for c in x))
-    return [c.numerator * (den // c.denominator) for c in x], den
+    ratios = [c.as_integer_ratio() for c in x]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 @dataclass(frozen=True)
@@ -287,22 +324,35 @@ class CayleyDickson(RingDescriptor):
         return all(map(self.base.is_zero_value, a))
 
     def mul_values(self, x, y):
-        table = _sign_table(self.level)
         if isinstance(self.base, Rationals):
-            (xs, dx), (ys, dy) = _integers(x), _integers(y)
-            den = dx * dy
-            return tuple(
-                Fraction(sum([s * a * ys[j] for a, j, s in zip(xs, js, signs)]), den)
-                for js, signs, _ in table
-            )
+            return self.dot_values(((x, y),))
         mul, neg = self.base.mul_values, self.base.neg_value
 
         def term(a, j, s, swapped):
             p = mul(y[j], a) if swapped else mul(a, y[j])
             return p if s > 0 else neg(p)
 
+        table = _sign_table(self.level)
         rows = (map(term, x, js, signs, swaps) for js, signs, swaps in table)
         return tuple(reduce(self.base.add_values, row) for row in rows)
+
+    def dot_values(self, pairs):
+        if not isinstance(self.base, Rationals):
+            return super().dot_values(pairs)
+        ints = [(*_integers(x), *_integers(y)) for x, y in pairs]
+        den = lcm(*[dx * dy for _, dx, _, dy in ints])
+        scaled = [
+            (xs if dx * dy == den else [den // (dx * dy) * a for a in xs], ys)
+            for xs, dx, ys, dy in ints
+        ]
+        return tuple(
+            Fraction(
+                sum([s * a * ys[j]
+                     for xs, ys in scaled for a, j, s in zip(xs, js, signs)]),
+                den,
+            )
+            for js, signs, _ in _sign_table(self.level)
+        )
 
     def scale_value(self, a, q):
         return tuple(self.base.scale_value(c, q) for c in a)
@@ -365,10 +415,11 @@ class JordanPlus(RingDescriptor):
         return self.base.is_zero_value(a)
 
     def mul_values(self, a, b):
-        sym = self.base.add_values(
-            self.base.mul_values(a, b), self.base.mul_values(b, a)
-        )
-        return self.base.scale_value(sym, Fraction(1, 2))
+        return self.dot_values(((a, b),))
+
+    def dot_values(self, pairs):
+        both = [*pairs, *((b, a) for a, b in pairs)]
+        return self.base.scale_value(self.base.dot_values(both), Fraction(1, 2))
 
     def scale_value(self, a, q):
         return self.base.scale_value(a, q)
@@ -426,8 +477,18 @@ class _PolyRing(RingDescriptor):
     is_zero_value = staticmethod(operator.not_)
 
     def mul_values(self, a, b):
+        return self.dot_values(((a, b),))
+
+    def dot_values(self, pairs):
         add = self._add_exponents
-        return sum_terms((add(e1, e2), c1 * c2) for e1, c1 in a for e2, c2 in b)
+        groups = defaultdict(list)
+        for a, b in pairs:
+            right = [(e, *c.as_integer_ratio()) for e, c in b]
+            for e1, c1 in a:
+                n1, d1 = c1.as_integer_ratio()
+                for e2, n2, d2 in right:
+                    groups[add(e1, e2)].append((n1 * n2, d1 * d2))
+        return sum_terms((e, _fraction_sum(ps)) for e, ps in groups.items())
 
     def scale_value(self, a, q):
         if q == 0:
@@ -558,18 +619,14 @@ class Matrix(RingDescriptor):
         return all(all(map(self.base.is_zero_value, row)) for row in a)
 
     def mul_values(self, a, b):
-        out = []
-        for r in range(self.n):
-            row = []
-            for c in range(self.n):
-                acc = self.base.zero_value()
-                for k in range(self.n):
-                    acc = self.base.add_values(
-                        acc, self.base.mul_values(a[r][k], b[k][c])
-                    )
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
+        return self.dot_values(((a, b),))
+
+    def dot_values(self, pairs):
+        dot, n = self.base.dot_values, range(self.n)
+        return tuple(
+            tuple(dot([(a[r][k], b[k][c]) for a, b in pairs for k in n]) for c in n)
+            for r in n
+        )
 
     def scale_value(self, a, q):
         return tuple(tuple(self.base.scale_value(x, q) for x in row) for row in a)

@@ -22,8 +22,11 @@ left factor's largest exponent ``d``. For an Ore context that is one sparse
 :func:`pi_rows` pass: two map applications per nonzero ``pi_i^m(s)`` with
 ``m < d``, or just ``d`` sigma applications when delta is zero. For a
 Laurent context it is one walk of sigma powers, one application or inverse
-application per step. The coefficient products are one per left term and
-nonzero table entry. Nothing is recomputed per term pair.
+application per step. Each table entry ``t`` for a left term ``r`` adds
+the pair ``(r, t)`` to its output exponent, and each output exponent's
+products are summed by one ``dot_values`` call of the coefficient ring, so
+the kernel itself does no per-pair coefficient arithmetic. Nothing is
+recomputed per term pair.
 
 Polynomials are immutable; the degree of the zero polynomial is the
 ``NEG_INFINITY`` sentinel (and its order ``POS_INFINITY``), never an integer.
@@ -37,6 +40,7 @@ an equal context is built again in the same process.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -259,6 +263,8 @@ def twisted_product(ctx, left, right, limit=None) -> tuple:
     ``ctx.twists(s, n, ms)`` maps each left exponent ``m`` to the pairs
     ``(e, t)`` with ``(r X^m)(s X^n) = sum r t X^e``. With ``limit`` (series
     windows, where ``e = m + n``) pairs with ``m + n >= limit`` are skipped.
+    The raw values of ``(r, t)`` are grouped by ``e``, and each group is
+    summed by one ``ring.dot_values`` call; zero sums are dropped.
 
     A constant left factor ``c`` needs no table: ``pi_0^0`` and ``sigma^0``
     are the identity, so each right term ``s X^n`` becomes ``(c*s) X^n``,
@@ -270,16 +276,17 @@ def twisted_product(ctx, left, right, limit=None) -> tuple:
             pairs = ((n, c * s) for n, s in right if limit is None or n < limit)
             return tuple((n, t) for n, t in pairs if t)
 
-    def products():
-        for n, s in right:
-            live = left if limit is None else [(m, r) for m, r in left if m + n < limit]
-            if live:
-                table = ctx.twists(s, n, [m for m, _ in live])
-                for m, r in live:
-                    for e, t in table[m]:
-                        yield e, r * t
-
-    return sum_terms(products())
+    groups = defaultdict(list)
+    for n, s in right:
+        live = left if limit is None else [(m, r) for m, r in left if m + n < limit]
+        if live:
+            table = ctx.twists(s, n, [m for m, _ in live])
+            for m, r in live:
+                for e, t in table[m]:
+                    groups[e].append((r.value, t.value))
+    dot = ctx.ring.dot_values
+    terms = [(e, RingElement(ctx.ring, dot(groups[e]))) for e in sorted(groups)]
+    return tuple((e, c) for e, c in terms if c)
 
 
 @dataclass(frozen=True)

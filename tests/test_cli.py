@@ -308,3 +308,17 @@ def test_nested_cayley_dickson_ring_is_refused(capsys, cfg):
 def test_divide_requires_ore(capsys, cfg):
     code, _, err = run(capsys, ["divide", "--config", cfg(SIGMA2), "X", "i"])
     assert code == 2 and "ore structure" in err
+
+
+@pytest.mark.parametrize(
+    "expression, error",
+    [
+        ("1/0", "literal has a zero denominator (at position 0)"),
+        ("X^1/0", "literal has a zero denominator (at position 2)"),
+        ("X^1.5", "exponent must be an integer (at position 2)"),
+        ("X^3/2", "exponent must be an integer (at position 2)"),
+    ],
+)
+def test_bad_number_tokens_exit_two(capsys, cfg, expression, error):
+    code, out, err = run(capsys, ["eval", "--config", cfg(SIGMA2), expression])
+    assert (code, out, err) == (2, "", f"error: {error}\n")

@@ -175,6 +175,24 @@ def test_zero_denominator_literal():
         parse("3/0", ExprProfile("ore", P1))
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [("12", Fraction(12)), ("0", Fraction(0)), ("3/4", Fraction(3, 4)),
+     ("6/4", Fraction(3, 2)), ("0.50", Fraction(1, 2)), ("2/1", Fraction(2))],
+)
+def test_number_literals_are_exact(text, value):
+    lit = parse(text, ExprProfile("ore", P1))
+    assert lit == Lit(value) and type(lit.value) is Fraction
+
+
+@pytest.mark.parametrize(
+    "text, exponent", [("X^12", 12), ("X^-3", -3), ("X^4/2", 2), ("X^2.0", 2)]
+)
+def test_integer_exponents(text, exponent):
+    name = parse(text, ExprProfile("laurent", COMPLEX_Q))
+    assert name == Name("X", exponent) and type(name.exponent) is int
+
+
 def test_o_tail_rules():
     profile = ExprProfile("power_series", RATIONALS)
     ast = parse("1 + X + O(X^8)", profile)

@@ -40,6 +40,7 @@ from skewlab.rings import (
     QUATERNIONS_Q,
     Matrix,
     Poly1,
+    RingElement,
     basis_element,
     element,
     monomial_element,
@@ -358,4 +359,52 @@ def test_constant_leaves_build_no_twist_table(monkeypatch, config, leaf, text):
 
         monkeypatch.setattr(cls, "twists", counting)
     assert str(session.evaluate(leaf)) == text
+    assert calls == []
+
+
+# --- the kernel's own coefficient work ------------------------------------------
+
+def test_kernel_sums_each_output_exponent_without_element_arithmetic(monkeypatch):
+    # twisted_product hands each output exponent's raw value pairs to one
+    # ring.dot_values call, so it makes no RingElement product or sum of its
+    # own. Twist tables are not kernel work (pi_rows adds entries), so calls
+    # made inside ctx.twists are not counted.
+    rng = Random(9)
+
+    def full(ctx, cls, exponents):
+        pairs = []
+        for e in exponents:
+            c = random_element(ctx.ring, rng)
+            while c.is_zero():
+                c = random_element(ctx.ring, rng)
+            pairs.append((e, c))
+        return cls.from_terms(ctx, pairs)
+
+    cases = [
+        (SIGMA2, full(SIGMA2, LaurentPoly, range(-20, 21)),
+         full(SIGMA2, LaurentPoly, range(-20, 21))),
+        (WEYL, full(WEYL, OrePoly, range(13)), full(WEYL, OrePoly, range(13))),
+    ]
+    expected = [p * q for _, p, q in cases]
+    calls, in_twists = [], []
+    for cls in (OreContext, LaurentContext):
+
+        def twists(self, *args, _twists=cls.twists):
+            in_twists.append(1)
+            try:
+                return _twists(self, *args)
+            finally:
+                in_twists.pop()
+
+        monkeypatch.setattr(cls, "twists", twists)
+    for name in ("__mul__", "__add__"):
+
+        def counting(self, other, _op=getattr(RingElement, name), _name=name):
+            if not in_twists:
+                calls.append(_name)
+            return _op(self, other)
+
+        monkeypatch.setattr(RingElement, name, counting)
+    for (ctx, p, q), product in zip(cases, expected):
+        assert twisted_product(ctx, p.terms, q.terms) == product.terms
     assert calls == []

@@ -393,3 +393,44 @@ def test_is_zero_value_agrees_with_equality_to_zero(name, seed):
         values += [basis_element(d, k).value for k in range(1 << d.level)]
     for v in values:
         assert d.is_zero_value(v) == (v == d.zero_value())
+
+
+def folded_dot(d, pairs):
+    acc = d.zero_value()
+    for a, b in pairs:
+        acc = d.add_values(acc, d.mul_values(a, b))
+    return acc
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_TEST_RINGS))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=5),
+    scales=st.lists(st.sampled_from([1, 2, 3, 7, 11, 30]), min_size=5, max_size=5),
+)
+def test_dot_values_matches_the_fold_of_products(name, seeds, scales):
+    # dot_values(pairs) is the canonical sum(a*b for a, b in pairs), which
+    # rings over Q sum in integers over one denominator. Scaling by 1/k mixes
+    # the denominators; (a, b) next to (-a, b) must cancel to the canonical
+    # zero, which compares equal to zero_value() and has the same repr.
+    d = ZERO_TEST_RINGS[name]
+    pairs = []
+    for seed, k in zip(seeds, scales):
+        rng = Random(seed)
+        a, b = d.sample_value(rng), d.sample_value(rng)
+        pairs.append((d.scale_value(a, Fraction(1, k)), b))
+    a, b = pairs[0]
+    cancelling = [(a, b), (d.neg_value(a), b)]
+    cases = [
+        (pairs, folded_dot(d, pairs)),
+        ([(a, b)], d.mul_values(a, b)),
+        ([(b, a)], d.mul_values(b, a)),
+        (cancelling, d.zero_value()),
+        (pairs + cancelling, folded_dot(d, pairs)),
+        ([], d.zero_value()),
+    ]
+    for case, expected in cases:
+        got = d.dot_values(case)
+        assert got == expected
+        assert repr(got) == repr(expected)
+        assert d.is_zero_value(got) == (got == d.zero_value())
