@@ -229,11 +229,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 def _literal(tok: _Token) -> Fraction:
-    """The value of a number token. ``\\d`` and ``str.isdecimal`` accept the
-    same digits, so a token without ``.`` or ``/`` goes through ``int``, which
-    is cheaper than having ``Fraction`` parse the text."""
-    if tok.text.isdecimal():
-        return Fraction(int(tok.text))
+    """The exact value of a number token."""
     try:
         return Fraction(tok.text)
     except ZeroDivisionError:
@@ -328,8 +324,6 @@ class _Parser:
             self.next()
             sign = -1
         tok = self.expect("number")
-        if tok.text.isdecimal():
-            return sign * int(tok.text)
         frac = _literal(tok)
         if frac.denominator != 1:
             raise ExprError("exponent must be an integer", tok.pos)

@@ -173,8 +173,6 @@ def _sample_fraction(rng: Random) -> Fraction:
 def _fraction_sum(ratios) -> Fraction:
     """``sum(n / d for n, d in ratios)``: integer numerators over the lcm of
     the denominators, one ``Fraction`` in all."""
-    if len(ratios) == 1:
-        return Fraction(*ratios[0])
     den = lcm(*[d for _, d in ratios])
     return Fraction(sum([n * (den // d) for n, d in ratios]), den)
 
@@ -341,10 +339,7 @@ class CayleyDickson(RingDescriptor):
             return super().dot_values(pairs)
         ints = [(*_integers(x), *_integers(y)) for x, y in pairs]
         den = lcm(*[dx * dy for _, dx, _, dy in ints])
-        scaled = [
-            (xs if dx * dy == den else [den // (dx * dy) * a for a in xs], ys)
-            for xs, dx, ys, dy in ints
-        ]
+        scaled = [([den // (dx * dy) * a for a in xs], ys) for xs, dx, ys, dy in ints]
         return tuple(
             Fraction(
                 sum([s * a * ys[j]

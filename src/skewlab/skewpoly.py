@@ -57,6 +57,7 @@ from .maps import (
 )
 from .reports import CheckReport, falsify
 from .rings import (
+    DescriptorMismatch,
     RingDescriptor,
     RingElement,
     UnsupportedDescriptor,
@@ -266,6 +267,9 @@ def twisted_product(ctx, left, right, limit=None) -> tuple:
     The raw values of ``(r, t)`` are grouped by ``e``, and each group is
     summed by one ``ring.dot_values`` call; zero sums are dropped.
 
+    The sums read raw values, so the coefficients of both term lists are
+    checked against ``ctx.ring`` once each, not once per pair.
+
     A constant left factor ``c`` needs no table: ``pi_0^0`` and ``sigma^0``
     are the identity, so each right term ``s X^n`` becomes ``(c*s) X^n``,
     dropped when ``c*s`` is zero (``Matrix`` has zero divisors).
@@ -276,6 +280,10 @@ def twisted_product(ctx, left, right, limit=None) -> tuple:
             pairs = ((n, c * s) for n, s in right if limit is None or n < limit)
             return tuple((n, t) for n, t in pairs if t)
 
+    ring = ctx.ring
+    for _, c in (*left, *right):
+        if c.descriptor != ring:
+            raise DescriptorMismatch(f"{c.descriptor} vs {ring}")
     groups = defaultdict(list)
     for n, s in right:
         live = left if limit is None else [(m, r) for m, r in left if m + n < limit]
@@ -284,8 +292,8 @@ def twisted_product(ctx, left, right, limit=None) -> tuple:
             for m, r in live:
                 for e, t in table[m]:
                     groups[e].append((r.value, t.value))
-    dot = ctx.ring.dot_values
-    terms = [(e, RingElement(ctx.ring, dot(groups[e]))) for e in sorted(groups)]
+    dot = ring.dot_values
+    terms = [(e, RingElement(ring, dot(groups[e]))) for e in sorted(groups)]
     return tuple((e, c) for e, c in terms if c)
 
 

@@ -38,6 +38,7 @@ from skewlab.maps import (
 from skewlab.rings import (
     COMPLEX_Q,
     QUATERNIONS_Q,
+    DescriptorMismatch,
     Matrix,
     Poly1,
     RingElement,
@@ -408,3 +409,13 @@ def test_kernel_sums_each_output_exponent_without_element_arithmetic(monkeypatch
     for (ctx, p, q), product in zip(cases, expected):
         assert twisted_product(ctx, p.terms, q.terms) == product.terms
     assert calls == []
+
+
+@pytest.mark.parametrize("foreign_side", ["left", "right"])
+def test_kernel_refuses_coefficients_of_another_ring(foreign_side):
+    # The sums read raw values, so the kernel checks each term's descriptor.
+    own = [(0, basis_element(COMPLEX_Q, 1)), (1, scalar(COMPLEX_Q, 2))]
+    foreign = [(1, basis_element(QUAT, 2))]
+    left, right = (foreign, own) if foreign_side == "left" else (own, foreign)
+    with pytest.raises(DescriptorMismatch):
+        twisted_product(SIGMA2, left, right)
