@@ -36,6 +36,11 @@ matrix entries over them) the products are accumulated as integer numerators
 over the lcm of their denominators, so each result coordinate costs one
 ``Fraction``, not one per product. Cayley-Dickson rings over other bases
 fold their products into sums.
+
+:meth:`RingDescriptor.scalar_of` reads a value as a rational multiple of the
+unit when it is one. Every ring here is an algebra over the rationals, so a
+product by ``q * 1``, on either side, is the scaling by ``q``; the twisted
+products use this to skip the ring product for a rational left factor.
 """
 
 from __future__ import annotations
@@ -152,6 +157,13 @@ class RingDescriptor:
     def scale_value(self, a: Any, q: Fraction) -> Any:
         raise NotImplementedError
 
+    def scalar_of(self, a: Any) -> Fraction | None:
+        """The rational ``q`` with ``a == q * 1``, or ``None`` when ``a`` is
+        not a rational multiple of the unit. A product by such an ``a`` on
+        either side is ``scale_value(., q)``. This default always answers
+        ``None``, which only gives up that shortcut."""
+        return None
+
     def is_zero_value(self, a: Any) -> bool:
         return a == self.zero_value()
 
@@ -207,6 +219,9 @@ class Rationals(RingDescriptor):
     dot_values = staticmethod(_rational_dot)
     scale_value = staticmethod(operator.mul)
     is_zero_value = staticmethod(operator.not_)
+
+    def scalar_of(self, a):
+        return a
 
     sample_value = staticmethod(_sample_fraction)
 
@@ -352,6 +367,11 @@ class CayleyDickson(RingDescriptor):
     def scale_value(self, a, q):
         return tuple(self.base.scale_value(c, q) for c in a)
 
+    def scalar_of(self, a):
+        if all(map(self.base.is_zero_value, a[1:])):
+            return self.base.scalar_of(a[0])
+        return None
+
     def sample_value(self, rng):
         return tuple(self.base.sample_value(rng) for _ in range(1 << self.level))
 
@@ -418,6 +438,9 @@ class JordanPlus(RingDescriptor):
 
     def scale_value(self, a, q):
         return self.base.scale_value(a, q)
+
+    def scalar_of(self, a):
+        return self.base.scalar_of(a)
 
     def sample_value(self, rng):
         return self.base.sample_value(rng)
@@ -489,6 +512,11 @@ class _PolyRing(RingDescriptor):
         if q == 0:
             return ()
         return tuple((e, c * q) for e, c in a)
+
+    def scalar_of(self, a):
+        if len(a) == 1 and a[0][0] == self._constant:
+            return a[0][1]
+        return None if a else Fraction(0)
 
     def sample_value(self, rng):
         terms = {}
@@ -626,6 +654,13 @@ class Matrix(RingDescriptor):
     def scale_value(self, a, q):
         return tuple(tuple(self.base.scale_value(x, q) for x in row) for row in a)
 
+    def scalar_of(self, a):
+        d, z = a[0][0], self.base.zero_value()
+        n = range(self.n)
+        if any(a[r][c] != (d if r == c else z) for r in n for c in n):
+            return None
+        return self.base.scalar_of(d)
+
     def transpose_value(self, a):
         return tuple(tuple(a[c][r] for c in range(self.n)) for r in range(self.n))
 
@@ -741,12 +776,17 @@ def zero(descriptor: RingDescriptor) -> RingElement:
     return RingElement(descriptor, descriptor.zero_value())
 
 
+@lru_cache(maxsize=256)
 def one(descriptor: RingDescriptor) -> RingElement:
+    """The unit, built once per descriptor: twisted products compare every
+    single-term right factor with it."""
     return RingElement(descriptor, descriptor.one_value())
 
 
+@lru_cache(maxsize=1024)
 def scalar(descriptor: RingDescriptor, q) -> RingElement:
-    """The rational ``q`` embedded as ``q * 1``."""
+    """The rational ``q`` embedded as ``q * 1``, cached per ``(descriptor,
+    q)`` (elements are immutable, so callers may share them)."""
     return one(descriptor).scale(as_rational(q))
 
 

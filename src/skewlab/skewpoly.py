@@ -28,6 +28,20 @@ products are summed by one ``dot_values`` call of the coefficient ring, so
 the kernel itself does no per-pair coefficient arithmetic. Nothing is
 recomputed per term pair.
 
+Two shapes of product need neither a twist table nor a ring product, and
+expression leaves such as ``c*X^e``, ``c*X1^a*X2^b`` and ``5/3*i`` are made
+of them:
+
+* a unit right factor ``1 X^n``. Every context checks ``sigma(1) = 1`` and
+  ``delta(1) = 0`` exactly when it is built, and a Laurent context also
+  ``sigma^-1(1) = 1``. So ``pi_i^m(1)`` is 1 for ``i = m`` and 0 otherwise
+  (any sigma/delta word with a delta sends 1 to 0), every power of sigma
+  fixes 1, and ``(r X^m)(1 X^n) = r X^(m+n)``: the left terms, shifted.
+* a rational left factor ``q*1`` (see ``RingDescriptor.scalar_of``). Every
+  coefficient ring is an algebra over the rationals, and ``pi_0^0`` and
+  ``sigma^0`` are the identity, so ``(q X^0)(s X^n) = (q s) X^n``: the
+  right terms, scaled.
+
 Polynomials are immutable; the degree of the zero polynomial is the
 ``NEG_INFINITY`` sentinel (and its order ``POS_INFINITY``), never an integer.
 
@@ -44,6 +58,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from operator import add
 from random import Random
 
 from .maps import (
@@ -116,6 +131,14 @@ class OreContext:
                 return table
 
 
+def _check_unit(ring: RingDescriptor, sigma: TwistMap) -> None:
+    """Raise unless ``sigma`` and its inverse both fix 1, exactly."""
+    if sigma.apply(one(ring)) != one(ring):
+        raise ValueError("sigma(1) != 1")
+    if sigma.apply_inverse(one(ring)) != one(ring):
+        raise ValueError("sigma^-1(1) != 1")
+
+
 # The sampled entry checks, cached per (ring, maps) as the module docstring
 # says. A raising call leaves no cache entry, so only passes are remembered.
 
@@ -145,7 +168,8 @@ def _check_commuting(ring: RingDescriptor, sigmas: tuple) -> None:
 
 @dataclass(frozen=True)
 class LaurentContext:
-    """Ring plus an invertible sigma; the inverse is spot-checked on entry."""
+    """Ring plus an invertible sigma. On entry, sigma and its inverse must
+    fix 1 exactly, and the inverse round trip is spot-checked."""
 
     ring: RingDescriptor
     sigma: TwistMap
@@ -156,8 +180,7 @@ class LaurentContext:
         _require_claims(self.sigma, {ADDITIVE, RESPECTS_ONE}, "sigma")
         if not self.sigma.has_inverse:
             raise NoInverse("a Laurent context needs an invertible sigma")
-        if self.sigma.apply(one(self.ring)) != one(self.ring):
-            raise ValueError("sigma(1) != 1")
+        _check_unit(self.ring, self.sigma)
         _check_round_trip(self.ring, self.sigma)
 
     def twists(self, s: RingElement, n: int, exponents) -> dict:
@@ -183,8 +206,7 @@ class IteratedLaurentContext:
             _require_claims(s, {ADDITIVE, RESPECTS_ONE}, "sigma")
             if not s.has_inverse:
                 raise NoInverse("iterated contexts need invertible sigmas")
-            if s.apply(one(self.ring)) != one(self.ring):
-                raise ValueError("sigma(1) != 1")
+            _check_unit(self.ring, s)
         _check_commuting(self.ring, self.sigmas)
 
     def twists(self, s: RingElement, n: tuple, exponents) -> dict:
@@ -256,6 +278,12 @@ def pi(ctx: OreContext, m: int, i: int, s: RingElement) -> RingElement:
     return pi_row(ctx, m, s).get(i, zero(ctx.ring))
 
 
+def _require_ring(ring: RingDescriptor, terms) -> None:
+    for _, c in terms:
+        if c.descriptor != ring:
+            raise DescriptorMismatch(f"{c.descriptor} vs {ring}")
+
+
 def twisted_product(ctx, left, right, limit=None) -> tuple:
     """Canonical ``(exponent, coefficient)`` terms of the biadditive product
     of two term lists.
@@ -268,22 +296,43 @@ def twisted_product(ctx, left, right, limit=None) -> tuple:
     summed by one ``ring.dot_values`` call; zero sums are dropped.
 
     The sums read raw values, so the coefficients of both term lists are
-    checked against ``ctx.ring`` once each, not once per pair.
+    checked against ``ctx.ring`` once each, not once per pair. Both term
+    lists are canonical: ascending, distinct exponents, no zero coefficient.
 
-    A constant left factor ``c`` needs no table: ``pi_0^0`` and ``sigma^0``
-    are the identity, so each right term ``s X^n`` becomes ``(c*s) X^n``,
-    dropped when ``c*s`` is zero (``Matrix`` has zero divisors).
+    Three shapes skip the table (the module docstring says why each is
+    exact), checked in this order:
+
+    * a unit right factor ``((n, 1),)``: the left terms with ``n`` added to
+      each exponent (entrywise for exponent vectors), which keeps them
+      canonical; no ring arithmetic at all;
+    * a constant left factor ``q*1``, ``q`` rational: each right term
+      ``s X^n`` becomes ``(q s) X^n`` by ``RingElement.scale``;
+    * any other constant left factor ``c``: ``pi_0^0`` and ``sigma^0`` are
+      the identity, so ``s X^n`` becomes ``(c*s) X^n``, one ring product.
+
+    Products that come out zero are dropped (``Matrix`` has zero divisors).
     """
+    ring = ctx.ring
+    if len(right) == 1 and right[0][1] == one(ring):
+        n = right[0][0]
+        _require_ring(ring, left)
+        if isinstance(n, tuple):
+            return tuple((tuple(map(add, m, n)), r) for m, r in left)
+        return tuple((m + n, r) for m, r in left if limit is None or m + n < limit)
     if len(left) == 1:
         m, c = left[0]
         if not (any(m) if isinstance(m, tuple) else m):
-            pairs = ((n, c * s) for n, s in right if limit is None or n < limit)
+            kept = [(n, s) for n, s in right if limit is None or n < limit]
+            q = ring.scalar_of(c.value) if c.descriptor == ring else None
+            if q is None:
+                pairs = ((n, c * s) for n, s in kept)
+            else:
+                _require_ring(ring, kept)
+                pairs = ((n, s.scale(q)) for n, s in kept)
             return tuple((n, t) for n, t in pairs if t)
 
-    ring = ctx.ring
-    for _, c in (*left, *right):
-        if c.descriptor != ring:
-            raise DescriptorMismatch(f"{c.descriptor} vs {ring}")
+    _require_ring(ring, left)
+    _require_ring(ring, right)
     groups = defaultdict(list)
     for n, s in right:
         live = left if limit is None else [(m, r) for m, r in left if m + n < limit]

@@ -317,6 +317,13 @@ def test_divide_requires_ore(capsys, cfg):
         ("X^1/0", "literal has a zero denominator (at position 2)"),
         ("X^1.5", "exponent must be an integer (at position 2)"),
         ("X^3/2", "exponent must be an integer (at position 2)"),
+        ("1.5/2*X", "a decimal literal cannot have a denominator (at position 0)"),
+        ("X^1.5/2", "a decimal literal cannot have a denominator (at position 2)"),
+        pytest.param(
+            "2*X + " + "1" * 5000,
+            "literal has too many digits (at position 6)",
+            id="5000-digit-literal",
+        ),
     ],
 )
 def test_bad_number_tokens_exit_two(capsys, cfg, expression, error):

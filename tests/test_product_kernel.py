@@ -13,6 +13,10 @@ The work-count tests wrap sigma and delta in a counting map and bound the
 number of map applications a product may spend; they never look at time.
 A constant left factor builds no twist table at all: its products are checked
 against the same references, and ``c*X^e`` leaves may make no ``twists`` call.
+A unit right factor ``X^n`` (a shift) and a rational left factor ``q*1`` (a
+scaling) make no ring product either; they are checked on every kind of
+coefficient ring, and those leaves may make no ``mul_values`` or
+``dot_values`` call either.
 """
 
 from pathlib import Path
@@ -38,13 +42,20 @@ from skewlab.maps import (
 from skewlab.rings import (
     COMPLEX_Q,
     QUATERNIONS_Q,
+    SEDENIONS_Q,
+    CayleyDickson,
     DescriptorMismatch,
+    JordanPlus,
     Matrix,
     Poly1,
+    Rationals,
+    RingDescriptor,
     RingElement,
+    _PolyRing,
     basis_element,
     element,
     monomial_element,
+    one,
     random_element,
     scalar,
 )
@@ -347,9 +358,18 @@ def test_constant_left_factor_drops_zero_divisor_products():
         ("quantum_torus.json", "Y^2*X1^3", "Y^2*X1^3"),
         ("quantum_torus.json", "2*X2^-1", "2*X2^-1"),
         ("rational_power_series.json", "3*X^2", "3*X^2 + O(X^16)"),
+        ("complex_sigma2_laurent.json", "(2/3 + 5*i)*X^-3", "(2/3 + 5*i)*X^-3"),
+        ("complex_sigma2_laurent.json", "5/3*i", "5/3*i"),
+        ("quaternion_conjugation_ore.json", "(1/2 - 3*k)*X^4", "(1/2 - 3*k)*X^4"),
+        ("quaternion_conjugation_ore.json", "7*j", "7*j"),
+        ("weyl.json", "(2 + 3*Y)*X^5", "(2 + 3*Y)*X^5"),
+        ("quantum_torus.json", "(2 + 3*Y)*X1^2*X2^-1", "(2 + 3*Y)*X1^2*X2^-1"),
+        ("rational_power_series.json", "(3 + 1/4)*X^2", "13/4*X^2 + O(X^16)"),
     ],
 )
 def test_constant_leaves_build_no_twist_table(monkeypatch, config, leaf, text):
+    # A unit right factor X^n is a shift and a rational left factor a
+    # scaling, so these leaves make no ring product either.
     session = load_session(CONFIGS / config)
     calls = []
     for cls in (OreContext, LaurentContext, IteratedLaurentContext):
@@ -359,6 +379,15 @@ def test_constant_leaves_build_no_twist_table(monkeypatch, config, leaf, text):
             return _twists(self, *args)
 
         monkeypatch.setattr(cls, "twists", counting)
+    for cls in (RingDescriptor, Rationals, CayleyDickson, JordanPlus, _PolyRing, Matrix):
+        for name in ("mul_values", "dot_values"):
+            if name in vars(cls):
+
+                def ring_op(self, *args, _f=vars(cls)[name], _cls=cls, _name=name):
+                    calls.append(_name)
+                    return _f.__get__(self, _cls)(*args)
+
+                monkeypatch.setattr(cls, name, ring_op)
     assert str(session.evaluate(leaf)) == text
     assert calls == []
 
@@ -411,11 +440,106 @@ def test_kernel_sums_each_output_exponent_without_element_arithmetic(monkeypatch
     assert calls == []
 
 
-@pytest.mark.parametrize("foreign_side", ["left", "right"])
-def test_kernel_refuses_coefficients_of_another_ring(foreign_side):
-    # The sums read raw values, so the kernel checks each term's descriptor.
-    own = [(0, basis_element(COMPLEX_Q, 1)), (1, scalar(COMPLEX_Q, 2))]
-    foreign = [(1, basis_element(QUAT, 2))]
-    left, right = (foreign, own) if foreign_side == "left" else (own, foreign)
+OWN = [(0, basis_element(COMPLEX_Q, 1)), (1, scalar(COMPLEX_Q, 2))]
+FOREIGN = [(1, basis_element(QUAT, 2))]
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (FOREIGN, OWN),
+        (OWN, FOREIGN),
+        (FOREIGN, [(-2, one(COMPLEX_Q))]),
+        ([(0, scalar(COMPLEX_Q, 3))], FOREIGN),
+        ([(0, basis_element(COMPLEX_Q, 1))], FOREIGN),
+    ],
+    ids=["left", "right", "unit-right", "scalar-left", "constant-left"],
+)
+def test_kernel_refuses_coefficients_of_another_ring(left, right):
+    # The sums, the shift and the scaling read raw values, so the kernel
+    # checks each term's descriptor on every path.
     with pytest.raises(DescriptorMismatch):
         twisted_product(SIGMA2, left, right)
+
+
+# --- unit right factors and rational left factors ----------------------------
+
+SED = SEDENIONS_Q
+M3 = Matrix(3)
+JORDAN = JordanPlus(Matrix(2))
+CD_POLY = CayleyDickson(2, P1)
+ONE_VARIABLE = [
+    (OrePoly, ore_reference, 0, ctx)
+    for ctx in (
+        WEYL,
+        DOUBLER,
+        OreContext(SED, ConjugationMap(SED), ZeroMap(SED)),
+        OreContext(M3, TransposeMap(M3), ZeroMap(M3)),
+        OreContext(JORDAN, IdentityMap(JORDAN), ZeroMap(JORDAN)),
+        OreContext(CD_POLY, ConjugationMap(CD_POLY), ZeroMap(CD_POLY)),
+    )
+] + [
+    (LaurentPoly, laurent_reference, -4, ctx)
+    for ctx in (
+        SIGMA2,
+        LaurentContext(SED, ConjugationMap(SED)),
+        LaurentContext(M3, TransposeMap(M3)),
+        LaurentContext(JORDAN, IdentityMap(JORDAN)),
+        LaurentContext(CD_POLY, ConjugationMap(CD_POLY)),
+    )
+]
+ITERATED = (
+    TORUS,
+    COMPLEX_PAIR,
+    IteratedLaurentContext(SED, (ConjugationMap(SED), IdentityMap(SED))),
+)
+SERIES = [(cls, lo, ctx) for cls, _, lo, ctx in ONE_VARIABLE[2:]]  # delta = 0
+RATIONAL = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@SETTINGS
+@given(st.data())
+def test_unit_right_factors_match_the_references(data):
+    # p * X^n is p with its exponents shifted: every context fixes 1 exactly.
+    for cls, reference, lo, ctx in ONE_VARIABLE:
+        p = data.draw(polys(cls, ctx, lo, 5))
+        xn = cls.x(ctx, data.draw(st.integers(lo, 4)))
+        assert p * xn == reference(p, xn)
+    for ctx in ITERATED:
+        p = data.draw(multi_polys(ctx))
+        u = data.draw(st.tuples(*[st.integers(-3, 3) for _ in ctx.sigmas]))
+        xu = MultiLaurentPoly.monomial(ctx, one(ctx.ring), u)
+        assert p * xu == multi_reference(p, xu)
+    for cls, lo, ctx in SERIES:
+        s = data.draw(windows(ctx, lo, data.draw(st.integers(1, 8))))
+        e = data.draw(st.integers(lo, 4))
+        expected = windowed_reference(
+            ctx, stored(s), [(e, one(ctx.ring))], s.precision + e
+        )
+        assert series_times_poly(s, cls.x(ctx, e)) == expected
+        assert shift_scale(s, one(ctx.ring), e) == expected
+
+
+@SETTINGS
+@given(st.data())
+def test_rational_left_factors_match_the_references(data):
+    # (q*1) * p is p scaled by q: every coefficient ring is a Q-algebra.
+    for cls, reference, lo, ctx in ONE_VARIABLE:
+        c = cls.constant(ctx, scalar(ctx.ring, data.draw(RATIONAL)))
+        p = data.draw(polys(cls, ctx, lo, 4))
+        assert c * p == reference(c, p)
+        limit = data.draw(st.integers(lo, 5))
+        assert twisted_product(ctx, c.terms, p.terms, limit) == tuple(
+            (e, t) for e, t in reference(c, p).terms if e < limit
+        )
+    for ctx in ITERATED:
+        c = MultiLaurentPoly.constant(ctx, scalar(ctx.ring, data.draw(RATIONAL)))
+        p = data.draw(multi_polys(ctx))
+        assert c * p == multi_reference(c, p)
+    for cls, lo, ctx in SERIES:
+        c = cls.constant(ctx, scalar(ctx.ring, data.draw(RATIONAL)))
+        s = data.draw(windows(ctx, lo, data.draw(st.integers(1, 8))))
+        if not c.is_zero():
+            assert poly_times_series(c, s) == windowed_reference(
+                ctx, c.terms, stored(s), s.precision
+            )

@@ -434,3 +434,36 @@ def test_dot_values_matches_the_fold_of_products(name, seeds, scales):
         assert got == expected
         assert repr(got) == repr(expected)
         assert d.is_zero_value(got) == (got == d.zero_value())
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_TEST_RINGS))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32), q=st.fractions(max_denominator=9))
+def test_scalar_of_reads_rational_multiples_of_one(name, seed, q):
+    # scalar_of(a) is q exactly when a == q*1, and then a product by a on
+    # either side is the scaling by q.
+    d = ZERO_TEST_RINGS[name]
+    b = d.sample_value(Random(seed))
+    assert d.scalar_of(scalar(d, q).value) == q
+    for a in (b, scalar(d, q).value, d.add_values(b, d.one_value())):
+        p = d.scalar_of(a)
+        if p is not None:
+            assert a == scalar(d, p).value
+            assert d.mul_values(a, b) == d.scale_value(b, p) == d.mul_values(b, a)
+
+
+def test_scalar_of_refuses_non_scalars():
+    cd1, cd2 = CayleyDickson(1, Poly1()), CayleyDickson(2, Poly1())
+    jordan = JordanPlus(Matrix(2))
+    cases = [
+        (COMPLEX_Q, basis_element(COMPLEX_Q, 1)),
+        (cd2, one(cd2) + basis_element(cd2, 3)),
+        (cd1, element(cd1, [[(1, 1)], []])),
+        (Poly1(), monomial_element(Poly1(), 1)),
+        (Poly2(), scalar(Poly2(), 2) + monomial_element(Poly2(), (0, 1))),
+        (Matrix(2), element(Matrix(2), [[1, 0], [0, 2]])),
+        (Matrix(2), element(Matrix(2), [[1, 1], [0, 1]])),
+        (jordan, element(jordan, [[0, 1], [1, 0]])),
+    ]
+    for d, a in cases:
+        assert d.scalar_of(a.value) is None, (d, a)

@@ -14,6 +14,7 @@ from random import Random
 
 import pytest
 
+from skewlab import skewpoly
 from skewlab.maps import (
     CoefficientDoubler,
     ConjugationMap,
@@ -234,6 +235,27 @@ def test_laurent_shift_round_trip():
         for _ in range(20):
             p = random_laurent_poly(ctx, rng)
             assert xb * (xnb * p) == p
+
+
+class InverseMovesOne(SigmaQComplex):
+    """sigma_2 on the complexes, with a bundled inverse wrong only at 1."""
+
+    def _apply_inverse(self, a):
+        if a == one(COMPLEX_Q):
+            return scalar(COMPLEX_Q, 2)
+        return super()._apply_inverse(a)
+
+
+def test_contexts_refuse_an_inverse_that_moves_one():
+    # A unit right factor X^n is a shift of the left terms for negative n
+    # too, which needs sigma^-1(1) == 1 exactly; the sampled round trip does
+    # not draw 1 and passes this map.
+    sigma = InverseMovesOne(2)
+    skewpoly._check_round_trip(COMPLEX_Q, sigma)
+    with pytest.raises(ValueError, match=r"sigma\^-1\(1\) != 1"):
+        LaurentContext(COMPLEX_Q, sigma)
+    with pytest.raises(ValueError, match=r"sigma\^-1\(1\) != 1"):
+        IteratedLaurentContext(COMPLEX_Q, (SigmaQComplex(-3), sigma))
 
 
 # --- degree / order / leading coefficient ----------------------------------
