@@ -198,7 +198,7 @@ def _lifted(ring: RingDescriptor, base: RingDescriptor, lift) -> dict:
 # --- lexer -------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d+)?(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
+    r"\s*(?:(?P<number>\d+(?:\.\d+|/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
     r"|(?P<op>[+\-*^()\[\],]))"
 )
 
@@ -230,14 +230,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 def _literal(tok: _Token) -> Fraction:
     """The exact value of a number token: an integer, a decimal or an
-    integer over an integer, as ``docs/grammar.ebnf`` has it. The token
-    pattern also matches a decimal over an integer (``1.5/2``), so that
-    shape is refused here, with its position."""
-    text = tok.text
-    if "." in text and "/" in text:
-        raise ExprError("a decimal literal cannot have a denominator", tok.pos)
+    integer over an integer, as ``docs/grammar.ebnf`` has it."""
     try:
-        return Fraction(int(text)) if text.isdigit() else Fraction(text)
+        return Fraction(tok.text)
     except ZeroDivisionError:
         raise ExprError("literal has a zero denominator", tok.pos) from None
     except ValueError:  # more digits than sys.get_int_max_str_digits()

@@ -776,17 +776,12 @@ def zero(descriptor: RingDescriptor) -> RingElement:
     return RingElement(descriptor, descriptor.zero_value())
 
 
-@lru_cache(maxsize=256)
 def one(descriptor: RingDescriptor) -> RingElement:
-    """The unit, built once per descriptor: twisted products compare every
-    single-term right factor with it."""
     return RingElement(descriptor, descriptor.one_value())
 
 
-@lru_cache(maxsize=1024)
 def scalar(descriptor: RingDescriptor, q) -> RingElement:
-    """The rational ``q`` embedded as ``q * 1``, cached per ``(descriptor,
-    q)`` (elements are immutable, so callers may share them)."""
+    """The rational ``q`` embedded as ``q * 1``."""
     return one(descriptor).scale(as_rational(q))
 
 

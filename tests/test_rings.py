@@ -7,6 +7,7 @@ never checked against itself.
 """
 
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 from random import Random
 
@@ -89,6 +90,15 @@ def test_rational_arithmetic():
     assert scalar(RATIONALS, 2).inverse() == scalar(RATIONALS, "1/2")
     with pytest.raises(NotInvertible):
         zero(RATIONALS).inverse()
+
+
+def test_scalar_refuses_inexact_values_after_an_equal_exact_one():
+    # 0.5 and Decimal("0.5") equal F(1, 2) and hash like it; scalar refuses
+    # them however it was called before.
+    assert scalar(QUATERNIONS_Q, F(1, 2)) == scalar(QUATERNIONS_Q, "1/2")
+    for inexact in (0.5, Decimal("0.5")):
+        with pytest.raises(TypeError):
+            scalar(QUATERNIONS_Q, inexact)
 
 
 def test_add_identity_and_cancellation():
