@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from functools import lru_cache
 
 from .config import ConfigError, Session, load_session
+from .expr import SERIES_STRUCTURES
 from .noetherian import CounterexampleConfig, counterexample_witness
 from .rings import NotInvertible
 from .skewpoly import right_divide
@@ -191,18 +193,13 @@ def _cmd_divide(args) -> int:
 
 def _cmd_series(args) -> int:
     session = _session(args)
-    if session.structure not in ("power_series", "laurent_series"):
-        raise ConfigError("series needs a power_series or laurent_series structure")
+    if session.structure not in SERIES_STRUCTURES:
+        raise ConfigError(f"series needs a {' or '.join(SERIES_STRUCTURES)} structure")
     if args.precision is not None:
         if args.precision < 1:
             raise ConfigError("precision must be >= 1")
-        session.target = type(session.target)(
-            structure=session.target.structure,
-            ring=session.target.ring,
-            series_context=session.target.series_context,
-            precision=args.precision,
-        )
-        session.precision = args.precision
+        target = replace(session.target, precision=args.precision)
+        session = replace(session, target=target, precision=args.precision)
     value = session.evaluate(args.expression)
     if args.format == "json":
         _emit_json(_value_payload("series", session, [args.expression], value))

@@ -15,6 +15,11 @@ Ring records: ``"rationals"``, ``{"cayley_dickson": {"level": 2}}``,
 ``{"poly2": {"variables": ["Y", "Z"]}}``, ``{"matrix": {"n": 2, "base":
 "rationals"}}``. Map records carry a ``kind`` plus parameters, e.g.
 ``{"kind": "sigma_q_complex", "q": "2"}``.
+
+A loaded :class:`Session` is one built context plus the series precision. The
+context (``OreContext``, ``LaurentContext`` or ``IteratedLaurentContext``,
+held by the session's :class:`~skewlab.expr.EvalTarget`) is the one source of
+truth for the session's maps; the series structures use a Laurent context.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .expr import EvalTarget, evaluate, parse
+from .expr import STRUCTURES as EXPR_STRUCTURES
+from .expr import SERIES_STRUCTURES, EvalTarget, evaluate, parse
 from .maps import (
     CoefficientDoubler,
     CompositionMap,
@@ -51,7 +57,7 @@ from .rings import (
 )
 from .skewpoly import IteratedLaurentContext, LaurentContext, OreContext
 
-STRUCTURES = ("ore", "laurent", "iterated_laurent", "power_series", "laurent_series")
+STRUCTURES = tuple(s for s in EXPR_STRUCTURES if s != "element")
 
 
 class ConfigError(ValueError):
@@ -131,15 +137,19 @@ def parse_map(obj, ring: RingDescriptor) -> TwistMap:
 
 @dataclass
 class Session:
-    """A fully validated configuration with its built contexts."""
+    """A validated configuration: one built context (inside ``target``) and,
+    for series, the precision."""
 
-    structure: str
-    ring: RingDescriptor
-    sigma: TwistMap | None
-    delta: TwistMap | None
-    sigmas: tuple[TwistMap, ...] | None
-    precision: int | None
     target: EvalTarget
+    precision: int | None = None
+
+    @property
+    def structure(self) -> str:
+        return self.target.structure
+
+    @property
+    def ring(self) -> RingDescriptor:
+        return self.target.ring
 
     def parse(self, text: str):
         return parse(text, self.target.profile())
@@ -148,14 +158,14 @@ class Session:
         return evaluate(self.parse(text), self.target)
 
     def maps(self) -> list[tuple[str, TwistMap]]:
-        out = []
-        if self.sigma is not None:
-            out.append(("sigma", self.sigma))
-        if self.delta is not None:
-            out.append(("delta", self.delta))
-        if self.sigmas is not None:
-            out.extend((f"sigma{i + 1}", s) for i, s in enumerate(self.sigmas))
-        return out
+        """The context's maps by label: ``sigma`` and ``delta`` of an Ore
+        context, ``sigma`` of a Laurent one, ``sigma1..n`` of an iterated one."""
+        ctx = self.target.context
+        if isinstance(ctx, IteratedLaurentContext):
+            return [(f"sigma{i + 1}", s) for i, s in enumerate(ctx.sigmas)]
+        if isinstance(ctx, OreContext):
+            return [("sigma", ctx.sigma), ("delta", ctx.delta)]
+        return [("sigma", ctx.sigma)]
 
 
 def load_session(source) -> Session:
@@ -183,9 +193,6 @@ def load_session(source) -> Session:
     if "ring" not in raw:
         raise ConfigError("config needs a 'ring' record")
     ring = parse_descriptor(raw["ring"])
-
-    sigma = delta = None
-    sigmas = None
     precision = raw.get("precision")
 
     try:
@@ -193,11 +200,8 @@ def load_session(source) -> Session:
             recs = raw.get("sigmas")
             if not recs:
                 raise ConfigError("iterated_laurent needs a 'sigmas' list")
-            sigmas = tuple(parse_map(rec, ring) for rec in recs)
-            target = EvalTarget(
-                structure,
-                ring,
-                iterated_context=IteratedLaurentContext(ring, sigmas),
+            context = IteratedLaurentContext(
+                ring, tuple(parse_map(rec, ring) for rec in recs)
             )
         else:
             if "sigma" not in raw:
@@ -209,37 +213,22 @@ def load_session(source) -> Session:
                     if "delta" in raw
                     else ZeroMap(ring)
                 )
-                target = EvalTarget(
-                    structure, ring, ore_context=OreContext(ring, sigma, delta)
-                )
+                context = OreContext(ring, sigma, delta)
             elif structure == "laurent":
                 if "delta" in raw:
                     raise ConfigError("laurent structures take no delta")
-                target = EvalTarget(
-                    structure, ring, laurent_context=LaurentContext(ring, sigma)
-                )
+                context = LaurentContext(ring, sigma)
             else:  # series
                 if type(precision) is not int or precision < 1:
                     raise ConfigError(
                         "series structures need an integer 'precision' >= 1"
                     )
-                target = EvalTarget(
-                    structure,
-                    ring,
-                    series_context=LaurentContext(ring, sigma),
-                    precision=precision,
-                )
+                context = LaurentContext(ring, sigma)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from None
 
-    return Session(
-        structure=structure,
-        ring=ring,
-        sigma=sigma,
-        delta=delta,
-        sigmas=sigmas,
-        precision=precision,
-        target=target,
-    )
+    if structure not in SERIES_STRUCTURES:
+        precision = None
+    return Session(EvalTarget(structure, ring, context, precision), precision)

@@ -13,6 +13,11 @@ literals ``[[..],[..]]``, and the series tail marker ``O(X^p)``. Exponents
 ``^`` attach only to named atoms; negative exponents exist only where the
 structure supports them. Adding ``O(X^p)`` truncates to precision ``p``.
 
+An :class:`EvalTarget` is what evaluation needs: the structure name, the
+coefficient ring, the one context object of a twisted structure
+(``OreContext``, ``LaurentContext`` or ``IteratedLaurentContext``, which also
+decides the polynomial class) and, for series, the session precision.
+
 One walker evaluates every structure; each structure only lifts the leaves
 (literals, named constants, matrix literals, indeterminates, tail markers).
 In series structures the evaluator keeps polynomial subexpressions exact and
@@ -25,7 +30,7 @@ number of terms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -53,11 +58,10 @@ from .series import (
 from .skewpoly import (
     IteratedLaurentContext,
     LaurentContext,
-    LaurentPoly,
     MultiLaurentPoly,
     OreContext,
-    OrePoly,
     _TermPoly,
+    poly_class,
 )
 
 
@@ -74,20 +78,17 @@ class ExprError(ValueError):
 @dataclass(frozen=True)
 class Lit:
     value: Fraction  # nonnegative; unary minus wraps in Neg
-    span: tuple | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Name:
     name: str
     exponent: int = 1
-    span: tuple | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Neg:
     operand: object
-    span: tuple | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -95,19 +96,16 @@ class Bin:
     op: str  # '+', '-', '*'
     left: object
     right: object
-    span: tuple | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class Mat:
     rows: tuple
-    span: tuple | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class OTail:
     precision: int
-    span: tuple | None = field(default=None, compare=False)
 
 
 # --- profiles and constant tables -------------------------------------------
@@ -120,12 +118,12 @@ STRUCTURES = (
     "laurent_series",
     "element",
 )
+SERIES_STRUCTURES = ("power_series", "laurent_series")
 _NEGATIVE_X_OK = {"laurent", "laurent_series", "iterated_laurent"}
 # Parentheses, matrix brackets and unary minus signs nested deeper than this
 # are refused, so the recursive-descent parser stays far from Python's stack
 # limit.
 MAX_NESTING = 100
-_SERIES_STRUCTURES = {"power_series", "laurent_series"}
 
 
 @dataclass(frozen=True)
@@ -286,7 +284,7 @@ class _Parser:
         while self.peek().kind in ("+", "-"):
             op = self.next()
             right = self.term()
-            node = Bin(op.kind, node, right, span=(_span(node)[0], _span(right)[1]))
+            node = Bin(op.kind, node, right)
         return node
 
     def term(self):
@@ -294,27 +292,26 @@ class _Parser:
         while self.peek().kind == "*":
             self.next()
             right = self.factor()
-            node = Bin("*", node, right, span=(_span(node)[0], _span(right)[1]))
+            node = Bin("*", node, right)
         return node
 
     def factor(self):
         tok = self.peek()
         if tok.kind == "-":
             self.next()
-            operand = self.nested(self.factor, tok)
-            return Neg(operand, span=(tok.pos, _span(operand)[1]))
+            return Neg(self.nested(self.factor, tok))
         return self.primary()
 
     def primary(self):
         tok = self.next()
         if tok.kind == "number":
-            return Lit(_literal(tok), span=(tok.pos, tok.pos + len(tok.text)))
+            return Lit(_literal(tok))
         if tok.kind == "(":
             node = self.nested(self.expr, tok)
-            closing = self.expect(")")
-            return _respan(node, (tok.pos, closing.pos + 1))
+            self.expect(")")
+            return node
         if tok.kind == "[":
-            return self.nested(lambda: self.matrix(tok), tok)
+            return self.nested(self.matrix, tok)
         if tok.kind == "name":
             if tok.text == "O":
                 return self.o_tail(tok)
@@ -339,8 +336,6 @@ class _Parser:
         if has_caret:
             self.next()
             exponent = self.exponent()
-        end = self.tokens[self.idx - 1]
-        span = (tok.pos, end.pos + len(end.text))
         if name in self.indets:
             if exponent < 0 and self.profile.structure not in _NEGATIVE_X_OK:
                 raise ExprError(
@@ -348,7 +343,7 @@ class _Parser:
                     f"{self.profile.structure} structures",
                     tok.pos,
                 )
-            return Name(name, exponent, span=span)
+            return Name(name, exponent)
         entry = self.table.get(name)
         if entry is None:
             raise ExprError(f"unknown constant {name!r}", tok.pos)
@@ -361,10 +356,10 @@ class _Parser:
             )
         if kind == "var" and exponent < 0:
             raise ExprError(f"negative exponent on variable {name!r}", tok.pos)
-        return Name(name, exponent, span=span)
+        return Name(name, exponent)
 
     def o_tail(self, tok: _Token):
-        if self.profile.structure not in _SERIES_STRUCTURES:
+        if self.profile.structure not in SERIES_STRUCTURES:
             raise ExprError(
                 "the O(X^p) tail marker belongs to series structures", tok.pos
             )
@@ -374,16 +369,16 @@ class _Parser:
             raise ExprError("the tail marker reads O(X^p)", xtok.pos)
         self.expect("^")
         precision = self.exponent()
-        closing = self.expect(")")
-        return OTail(precision, span=(tok.pos, closing.pos + 1))
+        self.expect(")")
+        return OTail(precision)
 
-    def matrix(self, tok: _Token):
+    def matrix(self):
         rows = [self.matrix_row()]
         while self.peek().kind == ",":
             self.next()
             rows.append(self.matrix_row())
-        closing = self.expect("]")
-        return Mat(tuple(rows), span=(tok.pos, closing.pos + 1))
+        self.expect("]")
+        return Mat(tuple(rows))
 
     def matrix_row(self):
         self.expect("[")
@@ -393,15 +388,6 @@ class _Parser:
             entries.append(self.expr())
         self.expect("]")
         return tuple(entries)
-
-
-def _span(node):
-    return node.span or (0, 0)
-
-
-def _respan(node, span):
-    object.__setattr__(node, "span", span)
-    return node
 
 
 def parse(text: str, profile: ExprProfile):
@@ -457,19 +443,18 @@ class EvalError(ValueError):
 
 @dataclass(frozen=True)
 class EvalTarget:
-    """Everything the evaluator needs: structure, ring, built contexts."""
+    """Everything the evaluator needs: the structure name, the coefficient
+    ring, the one built context of the twisted structures (``None`` for
+    ``element``) and, for series, the session precision."""
 
     structure: str
     ring: RingDescriptor
-    ore_context: OreContext | None = None
-    laurent_context: LaurentContext | None = None
-    iterated_context: IteratedLaurentContext | None = None
-    series_context: object | None = None
+    context: OreContext | LaurentContext | IteratedLaurentContext | None = None
     precision: int | None = None
 
     def profile(self) -> ExprProfile:
-        n = len(self.iterated_context.sigmas) if self.iterated_context else 1
-        return ExprProfile(self.structure, self.ring, n)
+        sigmas = getattr(self.context, "sigmas", None)
+        return ExprProfile(self.structure, self.ring, len(sigmas) if sigmas else 1)
 
 
 def eval_element(node, ring: RingDescriptor) -> RingElement:
@@ -483,7 +468,7 @@ def evaluate(node, target: EvalTarget):
     if structure == "element":
         return eval_element(node, target.ring)
     value = _walk(node, _poly_leaf(target))
-    if structure in _SERIES_STRUCTURES and not isinstance(value, TruncatedSeries):
+    if structure in SERIES_STRUCTURES and not isinstance(value, TruncatedSeries):
         value = TruncatedSeries.from_poly(value, target.precision)
     return value
 
@@ -587,19 +572,14 @@ def _poly_leaf(target: EvalTarget):
     polynomials, ``O(X^p)`` an empty series window, and every other leaf a
     constant polynomial."""
     structure = target.structure
-    if structure == "iterated_laurent":
-        ctx = target.iterated_context
-        cls = MultiLaurentPoly
+    ctx = target.context
+    cls = poly_class(ctx)
+    if cls is MultiLaurentPoly:
         indeterminates = {
             f"X{i + 1}": (lambda e, _i=i: MultiLaurentPoly.variable(ctx, _i, e))
             for i in range(len(ctx.sigmas))
         }
     else:
-        ctx = {
-            "ore": target.ore_context,
-            "laurent": target.laurent_context,
-        }.get(structure, target.series_context)
-        cls = LaurentPoly if isinstance(ctx, LaurentContext) else OrePoly
         indeterminates = {"X": lambda e: cls.x(ctx, e)}
     element_leaf = _element_leaf(target.ring)
 
@@ -607,7 +587,7 @@ def _poly_leaf(target: EvalTarget):
         if isinstance(node, Name) and node.name in indeterminates:
             return indeterminates[node.name](node.exponent)
         if isinstance(node, OTail):
-            if structure not in _SERIES_STRUCTURES:
+            if structure not in SERIES_STRUCTURES:
                 raise EvalError("the O(X^p) marker belongs to series structures")
             return TruncatedSeries.zero_window(ctx, node.precision)
         return cls.constant(ctx, element_leaf(node))

@@ -48,10 +48,11 @@ class NoInverse(ValueError):
 class TwistMap:
     """Base class; instances are immutable and safe to share.
 
-    Two maps are equal when they are of the same class and their ``_key()``
-    values agree, so a subclass that carries parameters must put them in its
-    ``_key``. Contexts rely on this: they skip a spot check already passed by
-    an equal map on an equal ring.
+    Two maps are equal when they are of the same class and their instance
+    attributes are equal (:meth:`_key`), so a subclass compares by whatever
+    parameters it stores, with nothing to override. Every instance attribute
+    must therefore be hashable. Contexts rely on this equality: they skip a
+    spot check already passed by an equal map on an equal ring.
     """
 
     kind = "abstract"
@@ -84,7 +85,7 @@ class TwistMap:
         raise NoInverse(f"{self.kind} carries no inverse")
 
     def _key(self):
-        return (self.kind, self.domain)
+        return tuple(sorted(vars(self).items()))
 
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
@@ -144,9 +145,6 @@ class SigmaQComplex(TwistMap):
             claims.add(MULTIPLICATIVE)
         super().__init__(COMPLEX_Q, claims, True)
 
-    def _key(self):
-        return (self.kind, self.domain, self.q)
-
     def _apply(self, a):
         re, im = a.value
         return RingElement(self.domain, (re, im * self.q))
@@ -190,9 +188,6 @@ class QuantumTorusSigma(TwistMap):
             raise DescriptorMismatch("quantum torus sigma lives on Poly1")
         self.q = q
         super().__init__(domain, _BIJECTION_CLAIMS | {MULTIPLICATIVE}, True)
-
-    def _key(self):
-        return (self.kind, self.domain, self.q)
 
     def _scale_by_power(self, a, q):
         return RingElement(
@@ -345,9 +340,6 @@ class PowerMap(TwistMap):
             claims = base.claims
         super().__init__(base.domain, claims, base.has_inverse or exponent == 0)
 
-    def _key(self):
-        return (self.kind, self.base, self.exponent)
-
     def _apply(self, a):
         return power_apply(self.base, self.exponent, a)
 
@@ -380,9 +372,6 @@ class CompositionMap(TwistMap):
             if all(prop in m.claims for m in parts):
                 claims.add(prop)
         super().__init__(domain, claims, all(m.has_inverse for m in parts))
-
-    def _key(self):
-        return (self.kind, self.parts)
 
     def _apply(self, a):
         for m in reversed(self.parts):

@@ -515,6 +515,22 @@ class MultiLaurentPoly(_TermPoly):
         )
 
 
+def poly_class(ctx) -> type:
+    """The polynomial class over a context: :class:`OrePoly`,
+    :class:`LaurentPoly` or :class:`MultiLaurentPoly`."""
+    try:
+        return _POLY_CLASSES[type(ctx)]
+    except KeyError:
+        raise TypeError(f"not a polynomial context: {ctx!r}") from None
+
+
+_POLY_CLASSES = {
+    OreContext: OrePoly,
+    LaurentContext: LaurentPoly,
+    IteratedLaurentContext: MultiLaurentPoly,
+}
+
+
 def poly_associator(p, q, r):
     """``(pq)r - p(qr)`` in whichever twisted ring the operands share."""
     return (p * q) * r - p * (q * r)
@@ -545,29 +561,44 @@ def random_multi_poly(ctx, rng: Random, max_abs_exp: int = 2, max_terms: int = 3
     return MultiLaurentPoly.from_terms(ctx, terms)
 
 
+_RANDOM_POLY = {
+    OrePoly: random_ore_poly,
+    LaurentPoly: random_laurent_poly,
+    MultiLaurentPoly: random_multi_poly,
+}
+
+
+def random_poly(ctx, rng: Random):
+    """A random polynomial over ``ctx``, drawn by the sampler of its class
+    with that sampler's default bounds."""
+    return _RANDOM_POLY[poly_class(ctx)](ctx, rng)
+
+
 def nucleus_check_power(ctx, n: int, trials: int, seed: int = 0) -> CheckReport:
     """Sample ``(p, X^n, q)`` and ``(p, q, X^n)`` associators; both must vanish.
 
     Works for Ore contexts (n in the naturals) and Laurent contexts (any n).
     """
-    if isinstance(ctx, OreContext):
-        if n < 0:
-            raise ValueError("Ore contexts have no negative powers of X")
-        xp = OrePoly.x(ctx, n)
-        sample = random_ore_poly
-    elif isinstance(ctx, LaurentContext):
-        xp = LaurentPoly.x(ctx, n)
-        sample = random_laurent_poly
-    else:
+    if isinstance(ctx, OreContext) and n < 0:
+        raise ValueError("Ore contexts have no negative powers of X")
+    if not isinstance(ctx, (OreContext, LaurentContext)):
         raise TypeError("expected an Ore or Laurent context")
+    xp = poly_class(ctx).x(ctx, n)
+    return nucleus_falsify(lambda rng: random_poly(ctx, rng), xp, n, trials, seed)
+
+
+def nucleus_falsify(sample, xn, n: int, trials: int, seed: int) -> CheckReport:
+    """Falsifier for ``X^n`` (given as ``xn``) in the middle and right
+    nuclei: ``(p, X^n, q)`` and ``(p, q, X^n)`` associators of operands drawn
+    by ``sample(rng)``, polynomials or series windows alike, must vanish."""
 
     def trial(rng):
-        p = sample(ctx, rng)
-        q = sample(ctx, rng)
-        middle = poly_associator(p, xp, q)
-        right = poly_associator(p, q, xp)
-        if not (middle.is_zero() and right.is_zero()):
-            slot = "middle" if not middle.is_zero() else "right"
+        p = sample(rng)
+        q = sample(rng)
+        middle = (p * xn) * q - p * (xn * q)
+        right = (p * q) * xn - p * (q * xn)
+        if middle.terms or right.terms:
+            slot = "middle" if middle.terms else "right"
             return f"slot={slot}, p={p}, q={q}", f"X^{n} fell out of the {slot} nucleus"
 
     return falsify(f"nucleus:X^{n}", trials, seed, trial)

@@ -11,6 +11,7 @@ from dataclasses import replace
 from random import Random
 
 from .config import ConfigError, Session
+from .expr import SERIES_STRUCTURES
 from .maps import verify_claims, verify_multiplicative, verify_sigma_derivation
 from .noetherian import (
     CounterexampleConfig,
@@ -21,11 +22,13 @@ from .reports import CheckReport, SuiteReport, falsify, no_violation_message
 from .rings import is_associative_division_ring, one, random_element
 from .series import TruncatedSeries, agree_below, random_series
 from .skewpoly import (
+    OreContext,
     nucleus_check_power,
+    nucleus_falsify,
     poly_associator,
-    random_laurent_poly,
-    random_multi_poly,
+    poly_class,
     random_ore_poly,
+    random_poly,
     right_divide,
 )
 
@@ -100,50 +103,37 @@ def _nucleus(session, trials, seed, options) -> SuiteReport:
     n = options.get("n")
     if n is None:
         n = 2
-    report = SuiteReport("nucleus", seed, trials)
-    target = session.target
-    if session.structure == "ore":
-        report.checks.append(
-            nucleus_check_power(target.ore_context, n, trials, seed)
-        )
-    elif session.structure == "laurent":
-        report.checks.append(
-            nucleus_check_power(target.laurent_context, n, trials, seed)
-        )
-    elif session.structure in ("power_series", "laurent_series"):
-        report.checks.append(_series_nucleus(session, n, trials, seed))
+    if session.structure in SERIES_STRUCTURES:
+        check = _series_nucleus(session, n, trials, seed)
+    elif session.structure in ("ore", "laurent"):
+        check = nucleus_check_power(session.target.context, n, trials, seed)
     else:
         raise ConfigError(
             "the nucleus suite runs on ore, laurent, or series structures"
         )
-    return report
+    return SuiteReport("nucleus", seed, trials, [check])
 
 
 def _series_nucleus(session, n, trials, seed) -> CheckReport:
-    ctx = session.target.series_context
+    ctx = session.target.context
     precision = session.precision
     if n < 0 and session.structure == "power_series":
         raise ConfigError("power series have no negative powers of X")
     xn = TruncatedSeries.from_terms(
         ctx, [(n, one(session.ring))], precision + n
     )
-
-    def trial(rng):
-        p = random_series(ctx, rng, precision)
-        q = random_series(ctx, rng, precision)
-        middle = (p * xn) * q - p * (xn * q)
-        right = (p * q) * xn - p * (q * xn)
-        if middle.order() is not None or right.order() is not None:
-            slot = "middle" if middle.order() is not None else "right"
-            return f"slot={slot}, p={p}, q={q}", f"X^{n} fell out of the {slot} nucleus"
-
-    return falsify(f"nucleus:X^{n}", trials, seed, trial)
+    return nucleus_falsify(
+        lambda rng: random_series(ctx, rng, precision), xn, n, trials, seed
+    )
 
 
 def _dichotomy(session, trials, seed, options) -> SuiteReport:
+    ctx = session.target.context
+    if session.structure in SERIES_STRUCTURES:
+        raise ConfigError(
+            "the associativity-dichotomy suite runs on polynomial structures"
+        )
     report = SuiteReport("associativity-dichotomy", seed, trials)
-    structure = session.structure
-    target = session.target
     reasons = []
     predicted = session.ring.is_associative
     if not predicted:
@@ -156,23 +146,14 @@ def _dichotomy(session, trials, seed, options) -> SuiteReport:
             if not check.passed:
                 predicted = False
                 reasons.append(f"{label} is not multiplicative ({check.witness})")
-    if structure == "ore":
-        leibniz = verify_sigma_derivation(session.sigma, session.delta, trials, seed)
+    if isinstance(ctx, OreContext):
+        leibniz = verify_sigma_derivation(ctx.sigma, ctx.delta, trials, seed)
         if not leibniz.passed:
             predicted = False
             reasons.append(f"delta breaks the twisted Leibniz rule ({leibniz.witness})")
-        ctx, sample = target.ore_context, random_ore_poly
-    elif structure == "laurent":
-        ctx, sample = target.laurent_context, random_laurent_poly
-    elif structure == "iterated_laurent":
-        ctx, sample = target.iterated_context, random_multi_poly
-    else:
-        raise ConfigError(
-            "the associativity-dichotomy suite runs on polynomial structures"
-        )
 
     def trial(rng):
-        p, q, r = (sample(ctx, rng) for _ in range(3))
+        p, q, r = (random_poly(ctx, rng) for _ in range(3))
         a = poly_associator(p, q, r)
         if not a.is_zero():
             return f"({p}, {q}, {r}) -> {a}", "nonzero associator"
@@ -205,7 +186,7 @@ def _division_roundtrip(session, trials, seed, options) -> SuiteReport:
         raise ConfigError(
             "right division needs an associative division coefficient ring"
         )
-    ctx = session.target.ore_context
+    ctx = session.target.context
 
     def trial(rng):
         gens = []
@@ -234,13 +215,11 @@ def _division_roundtrip(session, trials, seed, options) -> SuiteReport:
 
 
 def _series_precision(session, trials, seed, options) -> SuiteReport:
-    if session.structure not in ("power_series", "laurent_series"):
+    if session.structure not in SERIES_STRUCTURES:
         raise ConfigError("the series-precision suite needs a series structure")
-    ctx = session.target.series_context
+    ctx = session.target.context
     precision = session.precision
-    from .skewpoly import LaurentContext, LaurentPoly, OrePoly
-
-    poly_cls = LaurentPoly if isinstance(ctx, LaurentContext) else OrePoly
+    poly_cls = poly_class(ctx)
     min_exp = 0 if session.structure == "power_series" else -3
 
     def sample(rng):

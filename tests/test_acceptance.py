@@ -344,7 +344,7 @@ def test_c12_parser():
         assert render_ast(parse(text, profile)) == text
 
     lctx = LaurentContext(COMPLEX_Q, SigmaQComplex(2))
-    target = EvalTarget("laurent", COMPLEX_Q, laurent_context=lctx)
+    target = EvalTarget("laurent", COMPLEX_Q, context=lctx)
     profile = ExprProfile("laurent", COMPLEX_Q)
     a = evaluate(parse("(i*X)*i", profile), target)
     b = evaluate(parse("i*(X*i)", profile), target)

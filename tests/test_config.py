@@ -154,8 +154,7 @@ def test_ore_default_delta_is_zero():
             "sigma": {"kind": "coefficient_doubler"},
         }
     )
-    assert s.delta.kind == "zero"
-    assert s.target.ore_context.delta.kind == "zero"
+    assert s.target.context.delta.kind == "zero"
 
 
 def test_session_evaluate_and_maps(tmp_path):
@@ -195,7 +194,7 @@ def test_series_session_contexts():
             "precision": 8,
         }
     )
-    assert power.target.series_context is not None
+    assert power.target.context is not None
     assert str(power.evaluate("1 + X^2")) == "1 + X^2 + O(X^8)"
     laurent = load_session(
         {

@@ -4,7 +4,8 @@
 checks that its sigmas commute, each on a ``Random(0)`` sample. Both results
 are cached on the ring and the maps, so these tests pin what the cache may
 skip (a repeat of a passed check on an equal key) and what it may not (any
-failing check, and any map of another class, even one with the same kind).
+failing check, any map of another class, even one with the same kind, and
+any map whose stored parameters differ).
 """
 
 import pytest
@@ -16,9 +17,16 @@ from skewlab.maps import (
     CounterexampleSigma,
     IdentityMap,
     PowerMap,
+    SigmaQComplex,
+    TwistMap,
 )
 from skewlab.rings import COMPLEX_Q, SEDENIONS_Q, Poly2, element, random_element
-from skewlab.skewpoly import IteratedLaurentContext, LaurentContext
+from skewlab.skewpoly import (
+    ContextMismatch,
+    IteratedLaurentContext,
+    LaurentContext,
+    LaurentPoly,
+)
 
 P2 = Poly2()
 
@@ -45,14 +53,36 @@ class SwapVariables(IdentityMap):
     _apply_inverse = _apply
 
 
-def test_equal_contexts_sample_once(monkeypatch):
-    draws = []
+class Tagged(TwistMap):
+    """Forwards to ``base`` under its kind; stores ``base`` as its parameter
+    and leaves equality to the base class."""
+
+    def __init__(self, base: TwistMap):
+        self.base = base
+        self.kind = base.kind
+        super().__init__(base.domain, base.claims, base.has_inverse)
+
+    def _apply(self, a):
+        return self.base.apply(a)
+
+    def _apply_inverse(self, a):
+        return self.base.apply_inverse(a)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The rings of the elements the spot checks sample, in order."""
+    seen = []
 
     def counting(ring, rng):
-        draws.append(ring)
+        seen.append(ring)
         return random_element(ring, rng)
 
     monkeypatch.setattr(skewpoly, "random_element", counting)
+    return seen
+
+
+def test_equal_contexts_sample_once(draws):
     first = LaurentContext(SEDENIONS_Q, ConjugationMap(SEDENIONS_Q))
     second = LaurentContext(SEDENIONS_Q, ConjugationMap(SEDENIONS_Q))
     assert first == second
@@ -95,3 +125,17 @@ def test_composite_maps_compare_their_parts_class_exactly():
         LaurentContext(COMPLEX_Q, PowerMap(sub, 1))
     with pytest.raises(ValueError, match="round trip failed"):
         LaurentContext(COMPLEX_Q, CompositionMap([sub, ident]))
+
+
+def test_maps_compare_by_their_stored_parameters(draws):
+    two, three = Tagged(SigmaQComplex(2)), Tagged(SigmaQComplex(3))
+    assert two != three
+    assert two == Tagged(SigmaQComplex(2))
+    first = LaurentContext(COMPLEX_Q, two)
+    assert len(draws) == 200
+    LaurentContext(COMPLEX_Q, Tagged(SigmaQComplex(2)))
+    assert len(draws) == 200
+    second = LaurentContext(COMPLEX_Q, three)
+    assert len(draws) == 400
+    with pytest.raises(ContextMismatch):
+        LaurentPoly.x(first) + LaurentPoly.x(second)

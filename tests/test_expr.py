@@ -1,6 +1,7 @@
 """Grammar tests: parsing, canonical rendering, association preservation."""
 
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -58,18 +59,18 @@ P1 = Poly1()
 
 def ore_target():
     ctx = OreContext(P1, IdentityMap(P1), FormalDerivative(P1))
-    return EvalTarget("ore", P1, ore_context=ctx)
+    return EvalTarget("ore", P1, context=ctx)
 
 
 def laurent_target():
     ctx = LaurentContext(COMPLEX_Q, SigmaQComplex(2))
-    return EvalTarget("laurent", COMPLEX_Q, laurent_context=ctx)
+    return EvalTarget("laurent", COMPLEX_Q, context=ctx)
 
 
 def series_target(precision=16):
     ctx = LaurentContext(RATIONALS, IdentityMap(RATIONALS))
     return EvalTarget(
-        "power_series", RATIONALS, series_context=ctx, precision=precision
+        "power_series", RATIONALS, context=ctx, precision=precision
     )
 
 
@@ -80,7 +81,7 @@ def test_parse_coefficient_times_power():
     assert ast.right == Name("X", 2)
     value = evaluate(ast, ore_target())
     coeff = scalar(P1, 2) - monomial_element(P1, 1) + monomial_element(P1, 2, 3)
-    assert value == OrePoly.monomial(ore_target().ore_context, coeff, 2)
+    assert value == OrePoly.monomial(ore_target().context, coeff, 2)
 
 
 def test_negative_exponent_rejected_in_ore():
@@ -113,7 +114,7 @@ def test_eval_respects_association_contract():
     explicit = evaluate(parse("(i*X)*i", profile), target)
     other = evaluate(parse("i*(X*i)", profile), target)
     assert chain == explicit
-    ctx = target.laurent_context
+    ctx = target.context
     ip = LaurentPoly.constant(ctx, element(COMPLEX_Q, (0, 1)))
     x = LaurentPoly.x(ctx)
     assert explicit - other == poly_associator(ip, x, ip)
@@ -202,7 +203,7 @@ def test_o_tail_rules():
     with pytest.raises(ExprError):
         parse("1 + O(X^8)", ExprProfile("ore", P1))
     alone = evaluate(parse("O(X^5)", profile), series_target())
-    assert alone == TruncatedSeries.zero_window(series_target().series_context, 5)
+    assert alone == TruncatedSeries.zero_window(series_target().context, 5)
 
 
 def test_series_eval_keeps_polynomials_exact():
@@ -210,7 +211,7 @@ def test_series_eval_keeps_polynomials_exact():
     profile = ExprProfile("power_series", RATIONALS)
     geo = " + ".join(["1"] + [f"X^{k}" for k in range(1, 16)])
     value = evaluate(parse(f"(1 - X)*({geo})", profile), target)
-    assert value == TruncatedSeries.one(target.series_context, 16)
+    assert value == TruncatedSeries.one(target.context, 16)
     mixed = evaluate(parse("(1 - X)*(1 + X + X^2 + O(X^3))", profile), target)
     assert mixed.precision == 3
     assert str(mixed) == "1 + O(X^3)"
@@ -294,19 +295,27 @@ def _random_ast(rng: Random, profile: ExprProfile, depth: int):
     )
 
 
+CONFIG_PATHS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
 @pytest.mark.parametrize(
-    "profile",
+    "profile, seed",
     [
-        ExprProfile("ore", P1),
-        ExprProfile("laurent", COMPLEX_Q),
-        ExprProfile("laurent", QUATERNIONS_Q),
-        ExprProfile("power_series", RATIONALS),
-        ExprProfile("iterated_laurent", P1, num_indeterminates=2),
+        (ExprProfile("ore", P1), 1),
+        (ExprProfile("laurent", COMPLEX_Q), 2),
+        (ExprProfile("laurent", QUATERNIONS_Q), 3),
+        (ExprProfile("power_series", RATIONALS), 4),
+        (ExprProfile("iterated_laurent", P1, num_indeterminates=2), 5),
+    ]
+    + [
+        (load_session(path).target.profile(), 6 + i)
+        for i, path in enumerate(CONFIG_PATHS)
     ],
-    ids=["ore", "laurent-c", "laurent-h", "series", "iterated"],
+    ids=["ore", "laurent-c", "laurent-h", "series", "iterated"]
+    + [path.stem for path in CONFIG_PATHS],
 )
-def test_parse_render_round_trip(profile):
-    rng = Random(hash(profile.structure) & 0xFFFF)
+def test_parse_render_round_trip(profile, seed):
+    rng = Random(seed)
     for _ in range(100):
         ast = _random_ast(rng, profile, rng.randint(1, 4))
         text = render_ast(ast)
@@ -330,8 +339,8 @@ def test_value_rendering_reparses_to_equal_value():
     from skewlab.skewpoly import random_laurent_poly
 
     for _ in range(100):
-        p = random_laurent_poly(target.laurent_context, rng)
-        q = random_laurent_poly(target.laurent_context, rng)
+        p = random_laurent_poly(target.context, rng)
+        q = random_laurent_poly(target.context, rng)
         value = p * q
         rendered = str(value)
         assert evaluate(parse(rendered, profile), target) == value
@@ -341,14 +350,14 @@ def test_value_rendering_reparses_to_equal_value():
     from skewlab.series import random_series
 
     for _ in range(60):
-        s = random_series(starget.series_context, rng, 9)
+        s = random_series(starget.context, rng, 9)
         rendered = str(s)
         assert evaluate(parse(rendered, sprofile), starget) == s
 
 
 def test_quaternion_value_rendering_round_trip():
     ctx = LaurentContext(QUATERNIONS_Q, ConjugationMap(QUATERNIONS_Q))
-    target = EvalTarget("laurent", QUATERNIONS_Q, laurent_context=ctx)
+    target = EvalTarget("laurent", QUATERNIONS_Q, context=ctx)
     profile = ExprProfile("laurent", QUATERNIONS_Q)
     value = evaluate(parse("(1 + 2*i - k)*X^-1 + j", profile), target)
     assert evaluate(parse(str(value), profile), target) == value

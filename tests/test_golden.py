@@ -90,7 +90,7 @@ EVAL_TARGETS = {
     "ore-power-series": lambda: EvalTarget(
         "power_series",
         Poly1(),
-        series_context=OreContext(Poly1(), CoefficientDoubler(Poly1()), ZeroMap(Poly1())),
+        context=OreContext(Poly1(), CoefficientDoubler(Poly1()), ZeroMap(Poly1())),
         precision=5,
     ),
     "element": lambda: EvalTarget("element", OCTONIONS_Q),
