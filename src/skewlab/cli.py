@@ -172,7 +172,7 @@ def _cmd_divide(args) -> int:
                     {
                         "generator": s.generator_index,
                         "shift": s.shift,
-                        "multipliers": [str(m) for m in s.multipliers],
+                        "multipliers": [str(s.multiplier)],
                     }
                     for s in trace.steps
                 ],
@@ -182,10 +182,9 @@ def _cmd_divide(args) -> int:
     else:
         print(f"remainder: {trace.remainder}")
         for idx, s in enumerate(trace.steps, 1):
-            mult = ", ".join(str(m) for m in s.multipliers)
             print(
                 f"step {idx}: generator {s.generator_index}, "
-                f"shift {s.shift}, multiplier {mult}"
+                f"shift {s.shift}, multiplier {s.multiplier}"
             )
         print(f"replay: {'exact' if replay_exact else 'MISMATCH'}")
     return 0 if replay_exact else 1

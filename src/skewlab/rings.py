@@ -26,16 +26,15 @@ The Cayley-Dickson product is the doubling rule
 ``conj((a, b)) = (conj(a), -b)`` and identity conjugation at level 0, read
 from a sign table ``e_i * e_j = +-e_(i XOR j)`` built once per level.
 
-Besides the product, every ring has one fused sum of products,
+A ring defines its product once, as a fused sum of products,
 :meth:`RingDescriptor.dot_values`: the canonical value of ``sum(a*b for a, b
-in pairs)``. Twisted products sum each output coefficient with it, and the
-product of a Cayley-Dickson ring over the rationals, a polynomial ring, a
-Jordan ring or a matrix ring is its dot of one pair. Over the rationals
+in pairs)``. The product ``mul_values`` is the dot of one pair, and twisted
+products sum each output coefficient with one dot. Over the rationals
 (``Rationals``, Cayley-Dickson coordinates, polynomial coefficients, and
 matrix entries over them) the products are accumulated as integer numerators
 over the lcm of their denominators, so each result coordinate costs one
-``Fraction``, not one per product. Cayley-Dickson rings over other bases
-fold their products into sums.
+``Fraction``, not one per product. A Cayley-Dickson ring over any other base
+makes one base dot per result coordinate.
 
 :meth:`RingDescriptor.scalar_of` reads a value as a rational multiple of the
 unit when it is one. Every ring here is an algebra over the rationals, so a
@@ -49,7 +48,7 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import lcm
 from random import Random
 from typing import Any
@@ -142,17 +141,14 @@ class RingDescriptor:
         raise NotImplementedError
 
     def mul_values(self, a: Any, b: Any) -> Any:
-        raise NotImplementedError
+        """The product ``a*b``: the dot of one pair."""
+        return self.dot_values(((a, b),))
 
     def dot_values(self, pairs) -> Any:
         """The canonical value of ``sum(a*b for a, b in pairs)``, each product
         taken in the order ``a*b``, from a sequence of value pairs; the zero
-        value when ``pairs`` is empty. This default folds ``mul_values``
-        into ``add_values``; rings with a fused sum override it."""
-        return reduce(
-            self.add_values, (self.mul_values(a, b) for a, b in pairs),
-            self.zero_value(),
-        )
+        value when ``pairs`` is empty. The one product a ring defines."""
+        raise NotImplementedError
 
     def scale_value(self, a: Any, q: Fraction) -> Any:
         raise NotImplementedError
@@ -215,7 +211,6 @@ class Rationals(RingDescriptor):
 
     add_values = staticmethod(operator.add)
     neg_value = staticmethod(operator.neg)
-    mul_values = staticmethod(operator.mul)
     dot_values = staticmethod(_rational_dot)
     scale_value = staticmethod(operator.mul)
     is_zero_value = staticmethod(operator.not_)
@@ -336,22 +331,22 @@ class CayleyDickson(RingDescriptor):
     def is_zero_value(self, a):
         return all(map(self.base.is_zero_value, a))
 
-    def mul_values(self, x, y):
-        if isinstance(self.base, Rationals):
-            return self.dot_values(((x, y),))
-        mul, neg = self.base.mul_values, self.base.neg_value
-
-        def term(a, j, s, swapped):
-            p = mul(y[j], a) if swapped else mul(a, y[j])
-            return p if s > 0 else neg(p)
-
-        table = _sign_table(self.level)
-        rows = (map(term, x, js, signs, swaps) for js, signs, swaps in table)
-        return tuple(reduce(self.base.add_values, row) for row in rows)
-
     def dot_values(self, pairs):
-        if not isinstance(self.base, Rationals):
-            return super().dot_values(pairs)
+        base = self.base
+        if not isinstance(base, Rationals):
+            # Coordinate k is one base dot over row k of every pair: a negative
+            # sign takes the negated left factor, a swapped entry reverses the
+            # pair.
+            signed = [({1: x, -1: tuple(map(base.neg_value, x))}, y) for x, y in pairs]
+            out = []
+            for js, signs, swaps in _sign_table(self.level):
+                row = []
+                for xs, y in signed:
+                    for i, (j, s, w) in enumerate(zip(js, signs, swaps)):
+                        a = xs[s][i]
+                        row.append((y[j], a) if w else (a, y[j]))
+                out.append(base.dot_values(row))
+            return tuple(out)
         ints = [(*_integers(x), *_integers(y)) for x, y in pairs]
         den = lcm(*[dx * dy for _, dx, _, dy in ints])
         scaled = [([den // (dx * dy) * a for a in xs], ys) for xs, dx, ys, dy in ints]
@@ -429,9 +424,6 @@ class JordanPlus(RingDescriptor):
     def is_zero_value(self, a):
         return self.base.is_zero_value(a)
 
-    def mul_values(self, a, b):
-        return self.dot_values(((a, b),))
-
     def dot_values(self, pairs):
         both = [*pairs, *((b, a) for a, b in pairs)]
         return self.base.scale_value(self.base.dot_values(both), Fraction(1, 2))
@@ -493,9 +485,6 @@ class _PolyRing(RingDescriptor):
         return tuple((e, -c) for e, c in a)
 
     is_zero_value = staticmethod(operator.not_)
-
-    def mul_values(self, a, b):
-        return self.dot_values(((a, b),))
 
     def dot_values(self, pairs):
         add = self._add_exponents
@@ -640,9 +629,6 @@ class Matrix(RingDescriptor):
 
     def is_zero_value(self, a):
         return all(all(map(self.base.is_zero_value, row)) for row in a)
-
-    def mul_values(self, a, b):
-        return self.dot_values(((a, b),))
 
     def dot_values(self, pairs):
         dot, n = self.base.dot_values, range(self.n)

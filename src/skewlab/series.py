@@ -34,6 +34,7 @@ from .rings import (
     zero,
 )
 from .skewpoly import (
+    ContextMismatch,
     LaurentContext,
     OreContext,
     render_terms_text,
@@ -128,7 +129,7 @@ class TruncatedSeries:
 
     def _require_same_context(self, other):
         if not isinstance(other, TruncatedSeries) or other.context != self.context:
-            raise ValueError("series come from different contexts")
+            raise ContextMismatch("series come from different contexts")
 
     def __add__(self, other):
         self._require_same_context(other)

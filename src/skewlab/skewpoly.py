@@ -28,9 +28,9 @@ products are summed by one ``dot_values`` call of the coefficient ring, so
 the kernel itself does no per-pair coefficient arithmetic. Nothing is
 recomputed per term pair.
 
-Two shapes of product need neither a twist table nor a ring product, and
-expression leaves such as ``c*X^e``, ``c*X1^a*X2^b`` and ``5/3*i`` are made
-of them:
+Two shapes of product, and only these two, need neither a twist table nor
+a ring product. Expression leaves such as ``c*X^e``, ``c*X1^a*X2^b`` and
+``5/3*i`` are made of them:
 
 * a unit right factor ``1 X^n``. Every context checks ``sigma(1) = 1`` and
   ``delta(1) = 0`` exactly when it is built, and a Laurent context also
@@ -299,17 +299,16 @@ def twisted_product(ctx, left, right, limit=None) -> tuple:
     checked against ``ctx.ring`` once each, not once per pair. Both term
     lists are canonical: ascending, distinct exponents, no zero coefficient.
 
-    Three shapes skip the table (the module docstring says why each is
+    Two shapes skip the table (the module docstring says why each is
     exact), checked in this order:
 
     * a unit right factor ``((n, 1),)``: the left terms with ``n`` added to
       each exponent (entrywise for exponent vectors), which keeps them
       canonical; no ring arithmetic at all;
     * a constant left factor ``q*1``, ``q`` rational: each right term
-      ``s X^n`` becomes ``(q s) X^n`` by ``RingElement.scale``;
-    * any other constant left factor ``c``: ``pi_0^0`` and ``sigma^0`` are
-      the identity, so ``s X^n`` becomes ``(c*s) X^n``, one ring product.
+      ``s X^n`` becomes ``(q s) X^n`` by ``RingElement.scale``.
 
+    Any other product, a constant left factor too, takes the table path.
     Products that come out zero are dropped (``Matrix`` has zero divisors).
     """
     ring = ctx.ring
@@ -321,15 +320,13 @@ def twisted_product(ctx, left, right, limit=None) -> tuple:
         return tuple((m + n, r) for m, r in left if limit is None or m + n < limit)
     if len(left) == 1:
         m, c = left[0]
-        if not (any(m) if isinstance(m, tuple) else m):
+        constant = not (any(m) if isinstance(m, tuple) else m)
+        q = ring.scalar_of(c.value) if constant and c.descriptor == ring else None
+        if q is not None:
             kept = [(n, s) for n, s in right if limit is None or n < limit]
-            q = ring.scalar_of(c.value) if c.descriptor == ring else None
-            if q is None:
-                pairs = ((n, c * s) for n, s in kept)
-            else:
-                _require_ring(ring, kept)
-                pairs = ((n, s.scale(q)) for n, s in kept)
-            return tuple((n, t) for n, t in pairs if t)
+            _require_ring(ring, kept)
+            scaled = ((n, s.scale(q)) for n, s in kept)
+            return tuple((n, t) for n, t in scaled if t)
 
     _require_ring(ring, left)
     _require_ring(ring, right)
@@ -645,15 +642,14 @@ def polynomial_part(p: LaurentPoly) -> tuple[LaurentPoly, int]:
 class ReductionStep:
     generator_index: int
     shift: int
-    multipliers: tuple[RingElement, ...]
+    multiplier: RingElement
 
 
 @dataclass(frozen=True)
 class ReductionTrace:
     """Record of right-division steps: each one subtracted
-    ``generator * (multiplier X^shift)`` (extra multipliers, if ever present,
-    apply as nested right products). Replaying against the same generator
-    list reconstructs the dividend exactly."""
+    ``generator * (multiplier X^shift)``. Replaying against the same
+    generator list reconstructs the dividend exactly."""
 
     steps: tuple[ReductionStep, ...]
     remainder: OrePoly
@@ -663,10 +659,7 @@ class ReductionTrace:
         acc = OrePoly.zero(ctx)
         for step in self.steps:
             g = generators[step.generator_index]
-            t = g * OrePoly.monomial(ctx, step.multipliers[0], step.shift)
-            for extra in step.multipliers[1:]:
-                t = t * OrePoly.constant(ctx, extra)
-            acc = acc + t
+            acc = acc + g * OrePoly.monomial(ctx, step.multiplier, step.shift)
         return acc + self.remainder
 
 
@@ -706,7 +699,7 @@ def right_divide(p: OrePoly, generators) -> ReductionTrace:
         c = g.leading_coefficient()
         s = power_apply(ctx.sigma, -d, c.inverse() * r)
         work = work - g * OrePoly.monomial(ctx, s, n - d)
-        steps.append(ReductionStep(idx, n - d, (s,)))
+        steps.append(ReductionStep(idx, n - d, s))
         if work.terms and work.degree() >= n:
             raise AssertionError("right division failed to reduce the degree")
     return ReductionTrace(tuple(steps), work)

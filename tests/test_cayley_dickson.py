@@ -1,9 +1,11 @@
 """The flat Cayley-Dickson product against the doubling rule it tabulates.
 
 ``CayleyDickson`` stores a value as its ``2**level`` base coordinates and
-multiplies through a sign table. The reference here applies the doubling rule
-``(a, b)(c, d) = (ac - conj(d)b, da + b conj(c))`` recursively to the two
-halves of the coordinate tuple, sharing no code with the table. The
+multiplies through a sign table: ``dot_values`` sums the products of several
+pairs, and the product is the dot of one pair. The reference here applies the
+doubling rule ``(a, b)(c, d) = (ac - conj(d)b, da + b conj(c))`` recursively
+to the two halves of the coordinate tuple, sharing no code with the table; a
+dot is checked against the coordinate-wise sum of its reference products. The
 work-count tests wrap the base ring's operations in counters; they never look
 at time.
 """
@@ -71,6 +73,21 @@ def test_flat_product_matches_doubling_rule(base_name, level, data):
     assert d.mul_values(x, y) == doubling_mul(base, x, y)
 
 
+@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("base_name", sorted(BASES))
+@SETTINGS
+@given(data=st.data())
+def test_dot_matches_summed_doubling_rule(base_name, level, data):
+    base = BASES[base_name]
+    d = CayleyDickson(level, base)
+    pair = st.tuples(coordinates(base, level), coordinates(base, level))
+    pairs = data.draw(st.lists(pair, max_size=4))
+    expected = d.zero_value()
+    for x, y in pairs:
+        expected = tuple(map(base.add_values, expected, doubling_mul(base, x, y)))
+    assert d.dot_values(pairs) == expected
+
+
 def test_sampling_order_is_pinned():
     value = random_element(CayleyDickson(3), Random(2024)).value
     assert value == (F(2), F(9, 5), F(-3, 7), F(-1, 9), F(-1, 4), F(2, 7), F(7, 4), F(0))
@@ -85,7 +102,7 @@ def counting(monkeypatch, cls, name):
     inner = raw.__func__ if static else raw
 
     def counted(*args):
-        calls.append(1)
+        calls.append(args)
         return inner(*args)
 
     monkeypatch.setattr(cls, name, staticmethod(counted) if static else counted)
@@ -101,12 +118,14 @@ def test_sedenion_product_over_rationals_makes_no_base_products(monkeypatch):
     assert calls == []
 
 
-def test_sedenion_product_over_poly1_makes_one_base_product_per_pair(monkeypatch):
+def test_sedenion_product_over_poly1_makes_one_base_dot_per_coordinate(monkeypatch):
     d = CayleyDickson(4, Poly1())
     rng = Random(4)
     x, y = d.sample_value(rng), d.sample_value(rng)
+    expected = doubling_mul(Poly1(), x, y)
+    dots = counting(monkeypatch, Poly1, "dot_values")
     muls = counting(monkeypatch, Poly1, "mul_values")
     adds = counting(monkeypatch, Poly1, "add_values")
-    d.mul_values(x, y)
-    assert len(muls) == 256
-    assert len(adds) == 16 * 15
+    assert d.mul_values(x, y) == expected
+    assert [len(pairs) for _, pairs in dots] == [16] * 16
+    assert muls == adds == []

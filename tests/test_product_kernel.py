@@ -11,12 +11,13 @@ with the kernel:
 
 The work-count tests wrap sigma and delta in a counting map and bound the
 number of map applications a product may spend; they never look at time.
-A constant left factor builds no twist table at all: its products are checked
-against the same references, and ``c*X^e`` leaves may make no ``twists`` call.
-A unit right factor ``X^n`` (a shift) and a rational left factor ``q*1`` (a
-scaling) make no ring product either; they are checked on every kind of
-coefficient ring, and those leaves may make no ``mul_values`` or
-``dot_values`` call either.
+A constant left factor that is not rational takes the general path, whose
+``pi_0^0`` row and ``sigma^0`` entry are the identity; its products are
+checked against the same references. A unit right factor ``X^n`` (a shift)
+and a rational left factor ``q*1`` (a scaling) build no twist table and make
+no ring product; they are checked on every kind of coefficient ring, and
+``c*X^e`` leaves may make no ``twists``, ``mul_values`` or ``dot_values``
+call.
 """
 
 from pathlib import Path
@@ -311,8 +312,9 @@ MATRIX_LAURENT = LaurentContext(Matrix(2), TransposeMap(Matrix(2)))
 @SETTINGS
 @given(st.data())
 def test_constant_left_factors_match_the_references(data):
-    # A constant left factor skips the twist table: pi_0^0 and sigma^0 are
-    # the identity. Its products must still agree with the pairwise loops.
+    # A constant left factor that is not rational builds a twist table whose
+    # pi_0^0 row and sigma^0 entry are the identity. Its products must agree
+    # with the pairwise loops.
     cases = (
         (WEYL, OrePoly, ore_reference, 0),
         (QUAT_ORE, OrePoly, ore_reference, 0),
@@ -397,8 +399,8 @@ def test_constant_leaves_build_no_twist_table(monkeypatch, config, leaf, text):
 def test_kernel_sums_each_output_exponent_without_element_arithmetic(monkeypatch):
     # twisted_product hands each output exponent's raw value pairs to one
     # ring.dot_values call, so it makes no RingElement product or sum of its
-    # own. Twist tables are not kernel work (pi_rows adds entries), so calls
-    # made inside ctx.twists are not counted.
+    # own, for a constant left factor too. Twist tables are not kernel work
+    # (pi_rows adds entries), so calls made inside ctx.twists are not counted.
     rng = Random(9)
 
     def full(ctx, cls, exponents):
@@ -414,6 +416,8 @@ def test_kernel_sums_each_output_exponent_without_element_arithmetic(monkeypatch
         (SIGMA2, full(SIGMA2, LaurentPoly, range(-20, 21)),
          full(SIGMA2, LaurentPoly, range(-20, 21))),
         (WEYL, full(WEYL, OrePoly, range(13)), full(WEYL, OrePoly, range(13))),
+        (QUAT_ORE, OrePoly.constant(QUAT_ORE, basis_element(QUAT, 1)),
+         full(QUAT_ORE, OrePoly, range(13))),
     ]
     expected = [p * q for _, p, q in cases]
     calls, in_twists = [], []

@@ -39,6 +39,7 @@ from skewlab.series import (
     shift_scale,
 )
 from skewlab.skewpoly import (
+    ContextMismatch,
     LaurentContext,
     LaurentPoly,
     OreContext,
@@ -69,6 +70,17 @@ def test_series_context_validation():
             [],
             4,
         )
+
+
+def test_windows_over_unequal_contexts_do_not_combine():
+    i = basis_element(COMPLEX_Q, 1)
+    a = TruncatedSeries.from_terms(sigma2_ctx(), [(0, i)], 4)
+    b = TruncatedSeries.from_terms(
+        LaurentContext(COMPLEX_Q, SigmaQComplex(3)), [(0, i)], 4
+    )
+    for combine in (lambda p, q: p + q, lambda p, q: p * q):
+        with pytest.raises(ContextMismatch, match="different contexts"):
+            combine(a, b)
 
 
 def test_power_series_windows_reject_negative_start():
