@@ -361,3 +361,52 @@ def test_quaternion_value_rendering_round_trip():
     profile = ExprProfile("laurent", QUATERNIONS_Q)
     value = evaluate(parse("(1 + 2*i - k)*X^-1 + j", profile), target)
     assert evaluate(parse(str(value), profile), target) == value
+
+
+# --- every parser error, with its text and position --------------------------
+
+_ORE = ExprProfile("ore", P1)
+_LAURENT = ExprProfile("laurent", COMPLEX_Q)
+_SERIES = ExprProfile("power_series", RATIONALS)
+_MATRIX = ExprProfile("element", Matrix(2))
+
+
+@pytest.mark.parametrize(
+    "profile, text, message, position",
+    [
+        (_ORE, "2 + $", "unexpected character '$'", 4),
+        (_ORE, "1 ) 2 $", "unexpected character '$'", 6),
+        (_ORE, "3/0", "literal has a zero denominator", 0),
+        (_ORE, "2 + " + "1" * 5000, "literal has too many digits", 4),
+        (_LAURENT, "X^" + "1" * 5000, "literal has too many digits", 2),
+        (_ORE, "(Y + 1", "expected ')', found 'end'", 6),
+        (_ORE, "X^Y", "expected 'number', found 'Y'", 2),
+        (_SERIES, "O X^2", "expected '(', found 'X'", 2),
+        (_SERIES, "O(2)", "expected 'name', found '2'", 2),
+        (_SERIES, "O(X 2)", "expected '^', found '2'", 4),
+        (_SERIES, "O(X^2", "expected ')', found 'end'", 5),
+        (_MATRIX, "[[1, 0], [0, 1]", "expected ']', found 'end'", 15),
+        (_MATRIX, "[1]", "expected '[', found '1'", 1),
+        (_MATRIX, "[[1, 0] [0, 1]]", "expected ']', found '['", 8),
+        (_ORE, "(" * 101 + "Y" + ")" * 101, "expression nests deeper than 100 levels", 100),
+        (_ORE, "1 + " + "-" * 101 + "Y", "expression nests deeper than 100 levels", 104),
+        (_ORE, "1 2", "unexpected '2'", 2),
+        (_ORE, "(Y))", "unexpected ')'", 3),
+        (_ORE, ")", "unexpected ')'", 0),
+        (_ORE, "2 +", "unexpected 'end'", 3),
+        (_ORE, "X^1/2", "exponent must be an integer", 2),
+        (_ORE, "X^-1", "negative exponents on X are not allowed in ore structures", 0),
+        (_ORE, "2 + w", "unknown constant 'w'", 4),
+        (_LAURENT, "i^2", "exponents attach to polynomial variables and X, not to 'i'", 0),
+        (_ORE, "Y^-1", "negative exponent on variable 'Y'", 0),
+        (_ORE, "O(X^2)", "the O(X^p) tail marker belongs to series structures", 0),
+        (_SERIES, "O(Y^2)", "the tail marker reads O(X^p)", 2),
+        (_ORE, "   ", "empty expression", 0),
+    ],
+    ids=lambda v: v[:24] if isinstance(v, str) else None,
+)
+def test_parser_error_texts_and_positions(profile, text, message, position):
+    with pytest.raises(ExprError) as err:
+        parse(text, profile)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
