@@ -33,7 +33,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from itertools import islice
+from operator import itemgetter
 
 from .rings import (
     CayleyDickson,
@@ -195,78 +196,63 @@ def _lifted(ring: RingDescriptor, base: RingDescriptor, lift) -> dict:
 
 # --- lexer -------------------------------------------------------------------
 
+# One ``findall`` splits a text into tokens, each a tuple of six groups of
+# which one kind is set: a number (integer part, then the decimal digits or
+# the denominator, if any), a name, an operator, or any other non-blank
+# character, which is an error. Blanks match nothing and are skipped. Tokens
+# carry no positions: an error recomputes its position by re-scanning the
+# text (``_Parser.error``), so the common, error-free path never builds them.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d+|/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
-    r"|(?P<op>[+\-*^()\[\],]))"
+    r"([0-9]+)(?:\.([0-9]+)|/([0-9]+))?"
+    r"|([A-Za-z][A-Za-z0-9]*)|([-+*^()\[\],])|(\S)"
 )
-
-
-class _Token(NamedTuple):
-    kind: str  # 'number' | 'name' | one of + - * ^ ( ) [ ] , | 'eof'
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            break
-        group = m.lastgroup
-        tok = m.group(group)
-        pos = m.end()
-        out.append(_Token(tok if group == "op" else group, tok, pos - len(tok)))
-    rest = text[pos:].strip()
-    if rest:
-        bad = pos + text[pos:].index(rest[0])
-        raise ExprError(f"unexpected character {rest[0]!r}", bad)
-    out.append(_Token("eof", "", len(text)))
-    return out
-
-
-def _literal(tok: _Token) -> Fraction:
-    """The exact value of a number token: an integer, a decimal or an
-    integer over an integer, as ``docs/grammar.ebnf`` has it."""
-    try:
-        return Fraction(tok.text)
-    except ZeroDivisionError:
-        raise ExprError("literal has a zero denominator", tok.pos) from None
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise ExprError("literal has too many digits", tok.pos) from None
+_END = ("",) * 6  # the token after the last one
 
 
 # --- parser ------------------------------------------------------------------
 
 class _Parser:
+    """Recursive descent over the ``_TOKEN_RE`` tokens of a text.
+
+    ``self.i`` is the index of the next token in ``self.toks``; its fifth
+    group is its operator, or ``""`` for a number, a name and the end."""
+
     def __init__(self, text: str, profile: ExprProfile):
         self.text = text
         self.profile = profile
-        self.tokens = _tokenize(text)
-        self.idx = 0
+        tokens = _TOKEN_RE.findall(text)
+        tokens.append(_END)
+        self.toks = tokens
+        self.end = len(tokens) - 1
+        self.i = 0
         self.depth = 0
         self.table = constant_table(profile.ring)
         self.indets = profile.indeterminate_names()
+        if any(map(itemgetter(5), tokens)):
+            i = next(i for i, tok in enumerate(tokens) if tok[5])
+            raise self.error(f"unexpected character {tokens[i][5]!r}", i)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.idx]
+    def error(self, message: str, i: int) -> ExprError:
+        """The error at token ``i``, which is found again by re-scanning."""
+        match = next(islice(_TOKEN_RE.finditer(self.text), i, None), None)
+        return ExprError(message, match.start() if match else len(self.text))
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
+    def found(self, i: int) -> str:
+        """The text of token ``i``, or ``end``."""
+        match = next(islice(_TOKEN_RE.finditer(self.text), i, None), None)
+        return match.group() if match else "end"
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ExprError(f"expected {kind!r}, found {tok.text or 'end'!r}", tok.pos)
-        return tok
+    def expect(self, op: str) -> None:
+        """Step over the operator ``op``, which must come next."""
+        i = self.i
+        if self.toks[i][4] != op:
+            raise self.error(f"expected {op!r}, found {self.found(i)!r}", i)
+        self.i = i + 1
 
-    def nested(self, parse, tok: _Token):
-        """Run ``parse`` one nesting level below ``tok``."""
+    def nested(self, parse, i: int):
+        """Run ``parse`` one nesting level below token ``i``."""
         if self.depth == MAX_NESTING:
-            raise ExprError(f"expression nests deeper than {MAX_NESTING} levels", tok.pos)
+            raise self.error(f"expression nests deeper than {MAX_NESTING} levels", i)
         self.depth += 1
         node = parse()
         self.depth -= 1
@@ -274,108 +260,137 @@ class _Parser:
 
     def parse(self):
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ExprError(f"unexpected {tok.text!r}", tok.pos)
+        if self.i != self.end:
+            raise self.error(f"unexpected {self.found(self.i)!r}", self.i)
         return node
 
     def expr(self):
         node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next()
-            right = self.term()
-            node = Bin(op.kind, node, right)
+        toks = self.toks
+        op = toks[self.i][4]
+        while op == "+" or op == "-":
+            self.i += 1
+            node = Bin(op, node, self.term())
+            op = toks[self.i][4]
         return node
 
     def term(self):
         node = self.factor()
-        while self.peek().kind == "*":
-            self.next()
-            right = self.factor()
-            node = Bin("*", node, right)
+        toks = self.toks
+        while toks[self.i][4] == "*":
+            self.i += 1
+            node = Bin("*", node, self.factor())
         return node
 
     def factor(self):
-        tok = self.peek()
-        if tok.kind == "-":
-            self.next()
-            return Neg(self.nested(self.factor, tok))
-        return self.primary()
-
-    def primary(self):
-        tok = self.next()
-        if tok.kind == "number":
-            return Lit(_literal(tok))
-        if tok.kind == "(":
-            node = self.nested(self.expr, tok)
+        i = self.i
+        self.i = i + 1
+        n, _, _, name, op, _ = self.toks[i]
+        if not op:
+            if n:
+                return Lit(self.number(i))
+            if name == "O":
+                return self.o_tail(i)
+            if name:
+                return self.named(name, i)
+        elif op == "-":
+            return Neg(self.nested(self.factor, i))
+        elif op == "(":
+            node = self.nested(self.expr, i)
             self.expect(")")
             return node
-        if tok.kind == "[":
-            return self.nested(self.matrix, tok)
-        if tok.kind == "name":
-            if tok.text == "O":
-                return self.o_tail(tok)
-            return self.named(tok)
-        raise ExprError(f"unexpected {tok.text or 'end'!r}", tok.pos)
+        elif op == "[":
+            return self.nested(self.matrix, i)
+        raise self.error(f"unexpected {self.found(i)!r}", i)
+
+    def number(self, i: int) -> Fraction:
+        """The exact value of number token ``i``: an integer, a decimal or
+        an integer over an integer, as ``docs/grammar.ebnf`` has it."""
+        n, f, d = self.toks[i][:3]
+        try:
+            if d:
+                return Fraction(int(n), int(d))
+            if f:
+                scale = 10 ** len(f)
+                return Fraction(int(n) * scale + int(f), scale)
+            return Fraction(int(n))
+        except ZeroDivisionError:
+            raise self.error("literal has a zero denominator", i) from None
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise self.error("literal has too many digits", i) from None
 
     def exponent(self) -> int:
+        i = self.i
         sign = 1
-        if self.peek().kind == "-":
-            self.next()
+        if self.toks[i][4] == "-":
+            i += 1
             sign = -1
-        tok = self.expect("number")
-        frac = _literal(tok)
-        if frac.denominator != 1:
-            raise ExprError("exponent must be an integer", tok.pos)
-        return sign * int(frac)
+        n, f, d = self.toks[i][:3]
+        if not n:
+            raise self.error(f"expected 'number', found {self.found(i)!r}", i)
+        self.i = i + 1
+        if f or d:
+            value = self.number(i)
+            if value.denominator != 1:
+                raise self.error("exponent must be an integer", i)
+            return sign * int(value)
+        try:
+            return sign * int(n)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise self.error("literal has too many digits", i) from None
 
-    def named(self, tok: _Token):
-        name = tok.text
+    def named(self, name: str, i: int):
         exponent = 1
-        has_caret = self.peek().kind == "^"
+        has_caret = self.toks[self.i][4] == "^"
         if has_caret:
-            self.next()
+            self.i += 1
             exponent = self.exponent()
         if name in self.indets:
             if exponent < 0 and self.profile.structure not in _NEGATIVE_X_OK:
-                raise ExprError(
-                    f"negative exponents on {name} are not allowed in "
-                    f"{self.profile.structure} structures",
-                    tok.pos,
-                )
+                raise self.error(self.negative_x(name), i)
             return Name(name, exponent)
         entry = self.table.get(name)
         if entry is None:
-            raise ExprError(f"unknown constant {name!r}", tok.pos)
+            raise self.error(f"unknown constant {name!r}", i)
         kind, _payload = entry
         if kind == "unit" and has_caret:
-            raise ExprError(
+            raise self.error(
                 f"exponents attach to polynomial variables and {'/'.join(self.indets) or 'X'}, "
                 f"not to {name!r}",
-                tok.pos,
+                i,
             )
         if kind == "var" and exponent < 0:
-            raise ExprError(f"negative exponent on variable {name!r}", tok.pos)
+            raise self.error(f"negative exponent on variable {name!r}", i)
         return Name(name, exponent)
 
-    def o_tail(self, tok: _Token):
+    def negative_x(self, name: str) -> str:
+        return (
+            f"negative exponents on {name} are not allowed in "
+            f"{self.profile.structure} structures"
+        )
+
+    def o_tail(self, i: int):
         if self.profile.structure not in SERIES_STRUCTURES:
-            raise ExprError(
-                "the O(X^p) tail marker belongs to series structures", tok.pos
-            )
+            raise self.error("the O(X^p) tail marker belongs to series structures", i)
         self.expect("(")
-        xtok = self.expect("name")
-        if xtok.text != "X":
-            raise ExprError("the tail marker reads O(X^p)", xtok.pos)
+        x = self.i
+        name = self.toks[x][3]
+        if not name:
+            raise self.error(f"expected 'name', found {self.found(x)!r}", x)
+        if name != "X":
+            raise self.error("the tail marker reads O(X^p)", x)
+        self.i = x + 1
         self.expect("^")
         precision = self.exponent()
         self.expect(")")
+        if precision < 0 and self.profile.structure not in _NEGATIVE_X_OK:
+            raise self.error(self.negative_x("X"), i)
         return OTail(precision)
 
     def matrix(self):
         rows = [self.matrix_row()]
-        while self.peek().kind == ",":
-            self.next()
+        while self.toks[self.i][4] == ",":
+            self.i += 1
             rows.append(self.matrix_row())
         self.expect("]")
         return Mat(tuple(rows))
@@ -383,8 +398,8 @@ class _Parser:
     def matrix_row(self):
         self.expect("[")
         entries = [self.expr()]
-        while self.peek().kind == ",":
-            self.next()
+        while self.toks[self.i][4] == ",":
+            self.i += 1
             entries.append(self.expr())
         self.expect("]")
         return tuple(entries)

@@ -1,9 +1,13 @@
 """Command-line tests: subcommands, exit codes, deterministic output."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewlab.cli import main
 
@@ -319,6 +323,7 @@ def test_divide_requires_ore(capsys, cfg):
         ("X^3/2", "exponent must be an integer (at position 2)"),
         ("1.5/2*X", "unexpected character '/' (at position 3)"),
         ("X^1.5/2", "unexpected character '/' (at position 5)"),
+        ("\u0663*X", "unexpected character '\u0663' (at position 0)"),
         pytest.param(
             "2*X + " + "1" * 5000,
             "literal has too many digits (at position 6)",
@@ -329,3 +334,44 @@ def test_divide_requires_ore(capsys, cfg):
 def test_bad_number_tokens_exit_two(capsys, cfg, expression, error):
     code, out, err = run(capsys, ["eval", "--config", cfg(SIGMA2), expression])
     assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+def test_power_series_refuses_a_negative_tail_precision(capsys, cfg):
+    config = str(CONFIGS / "rational_power_series.json")
+    code, out, err = run(capsys, ["series", "--config", config, "1 + O(X^-1)"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: negative exponents on X are not allowed in power_series "
+        "structures (at position 4)\n"
+    )
+    laurent = {**POWER, "structure": "laurent_series"}
+    code, out, err = run(capsys, ["series", "--config", cfg(laurent), "1 + O(X^-1)"])
+    assert (code, out, err) == (0, "O(X^-1)\n", "")
+
+
+# Numbers end in a blank, so no run of digits makes a large exponent and the
+# fuzz stays fast.
+_FUZZ_TOKENS = [
+    "1 ", "2 ", "3/4 ", "0.5 ", "1/0 ", "X", "X1", "X2", "Y", "i", "j", "w", "O",
+    "+", "-", "*", "^", "(", ")", "[", "]", ",", ".", "/", " ", "\t", "\n",
+    "$", "\u00e9", "\u0663", "\uff11", "\u00a0",
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["eval", "series"]),
+    config=st.sampled_from(sorted(CONFIGS.glob("*.json"))),
+    expression=st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=14).map("".join),
+)
+def test_fuzzed_expressions_exit_cleanly(command, config, expression):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main([command, "--config", str(config), "--", expression])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: "))

@@ -5,6 +5,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewlab.config import load_session
 from skewlab.expr import (
@@ -206,6 +208,24 @@ def test_o_tail_rules():
     assert alone == TruncatedSeries.zero_window(series_target().context, 5)
 
 
+def test_negative_tail_precision_needs_negative_exponents():
+    with pytest.raises(ExprError) as err:
+        parse("1 + O(X^-1)", ExprProfile("power_series", RATIONALS))
+    assert str(err.value) == (
+        "negative exponents on X are not allowed in power_series structures "
+        "(at position 4)"
+    )
+    assert parse("1 + O(X^-1)", ExprProfile("laurent_series", RATIONALS)) == Bin(
+        "+", Lit(Fraction(1)), OTail(-1)
+    )
+
+
+@pytest.mark.parametrize("text", ["\u0663*X", "X^\u0663", "X\u0663", "\uff11"])
+def test_numbers_are_ascii_digits(text):
+    with pytest.raises(ExprError, match="unexpected character"):
+        parse(text, ExprProfile("laurent", COMPLEX_Q))
+
+
 def test_series_eval_keeps_polynomials_exact():
     target = series_target(precision=16)
     profile = ExprProfile("power_series", RATIONALS)
@@ -324,6 +344,43 @@ def test_parse_render_round_trip(profile, seed):
         assert render_ast(reparsed) == text
 
 
+def _asts(profile: ExprProfile):
+    """Trees the parser accepts in ``profile``'s session, as a strategy."""
+    negative_x = profile.structure in ("laurent", "laurent_series", "iterated_laurent")
+    x_exponents = st.integers(-5 if negative_x else 0, 5)
+    leaves = [
+        st.builds(Lit, st.fractions(min_value=0, max_denominator=12)),
+        st.builds(Name, st.sampled_from(profile.indeterminate_names()), x_exponents),
+    ]
+    for name, (kind, _payload) in sorted(constant_table(profile.ring).items()):
+        if kind == "var":
+            leaves.append(st.builds(Name, st.just(name), st.integers(0, 5)))
+        else:
+            leaves.append(st.just(Name(name)))
+    if profile.structure in ("power_series", "laurent_series"):
+        leaves.append(st.builds(OTail, x_exponents))
+    return st.recursive(
+        st.one_of(leaves),
+        lambda inner: st.one_of(
+            st.builds(Neg, inner),
+            st.builds(Bin, st.sampled_from("+-*"), inner, inner),
+        ),
+        max_leaves=12,
+    )
+
+
+@pytest.mark.parametrize("path", CONFIG_PATHS, ids=[path.stem for path in CONFIG_PATHS])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_render_parse_render_is_a_fixed_point(path, data):
+    profile = load_session(path).target.profile()
+    ast = data.draw(_asts(profile))
+    text = render_ast(ast)
+    reparsed = parse(text, profile)
+    assert reparsed == ast, text
+    assert render_ast(reparsed) == text
+
+
 def test_render_fixed_point_on_raw_text():
     profile = ExprProfile("laurent", COMPLEX_Q)
     for text in ("i * (X*i)", "(i*X)*i", "2*i + (3 - i)*X^-2", "-(i + X)"):
@@ -402,6 +459,9 @@ _MATRIX = ExprProfile("element", Matrix(2))
         (_ORE, "O(X^2)", "the O(X^p) tail marker belongs to series structures", 0),
         (_SERIES, "O(Y^2)", "the tail marker reads O(X^p)", 2),
         (_ORE, "   ", "empty expression", 0),
+        (_ORE, "\u0663*X", "unexpected character '\u0663'", 0),
+        (_SERIES, "1 + O(X^-1)",
+         "negative exponents on X are not allowed in power_series structures", 4),
     ],
     ids=lambda v: v[:24] if isinstance(v, str) else None,
 )
