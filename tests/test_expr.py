@@ -102,6 +102,13 @@ def test_association_is_preserved():
     assert right == Bin("*", Name("i"), Bin("*", Name("X"), Name("i")))
 
 
+def test_nodes_compare_with_their_type():
+    assert Lit(1) != OTail(1) and not Lit(1) == OTail(1)
+    assert Lit(1) != (1,) and (1,) != Lit(1)
+    assert Name("X") == Name("X", 1) and Name("X") != Name("X", 2)
+    assert len({Lit(1), OTail(1), Lit(1), Neg(Lit(1))}) == 3
+
+
 def test_eval_weyl_relation_and_canonical_text():
     target = ore_target()
     profile = ExprProfile("ore", P1)
