@@ -219,12 +219,12 @@ def _lifted(ring: RingDescriptor, base: RingDescriptor, lift) -> dict:
 
 # --- lexer -------------------------------------------------------------------
 
-# One ``findall`` splits a text into tokens, each a tuple of six groups of
-# which one kind is set: a number (integer part, then the decimal digits or
-# the denominator, if any), a name, an operator, or any other non-blank
-# character, which is an error. Blanks match nothing and are skipped. Tokens
-# carry no positions: an error recomputes its position by re-scanning the
-# text (``_Parser.error``), so the common, error-free path never builds them.
+# One ``findall`` splits a text into tokens. A token is the tuple of the six
+# groups below, of which only one kind is non-empty: a number (its integer
+# part, then its decimal digits or its denominator, if any), a name, an
+# operator, or any other non-blank character, which is an error. Blanks match
+# nothing and are skipped. Tokens carry no positions: an error recomputes its
+# position by re-scanning the text (``_Parser.error``).
 _TOKEN_RE = re.compile(
     r"([0-9]+)(?:\.([0-9]+)|/([0-9]+))?"
     r"|([A-Za-z][A-Za-z0-9]*)|([-+*^()\[\],])|(\S)"
@@ -255,14 +255,18 @@ class _Parser:
             i = next(i for i, tok in enumerate(tokens) if tok[5])
             raise self.error(f"unexpected character {tokens[i][5]!r}", i)
 
+    def rescan(self, i: int):
+        """The match of token ``i``, or ``None`` for the end."""
+        return next(islice(_TOKEN_RE.finditer(self.text), i, None), None)
+
     def error(self, message: str, i: int) -> ExprError:
-        """The error at token ``i``, which is found again by re-scanning."""
-        match = next(islice(_TOKEN_RE.finditer(self.text), i, None), None)
+        """The error at token ``i``, positioned by re-scanning the text."""
+        match = self.rescan(i)
         return ExprError(message, match.start() if match else len(self.text))
 
     def found(self, i: int) -> str:
         """The text of token ``i``, or ``end``."""
-        match = next(islice(_TOKEN_RE.finditer(self.text), i, None), None)
+        match = self.rescan(i)
         return match.group() if match else "end"
 
     def expect(self, op: str) -> None:
