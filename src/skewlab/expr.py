@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from typing import NamedTuple
 from operator import itemgetter
+from typing import NamedTuple
 
 from .rings import (
     CayleyDickson,
@@ -373,9 +373,7 @@ class _Parser:
             self.i += 1
             exponent = self.exponent()
         if name in self.indets:
-            if exponent < 0 and self.profile.structure not in _NEGATIVE_X_OK:
-                raise self.error(self.negative_x(name), i)
-            return Name(name, exponent)
+            return Name(name, self.x_exponent(name, exponent, i))
         entry = self.table.get(name)
         if entry is None:
             raise self.error(f"unknown constant {name!r}", i)
@@ -390,11 +388,16 @@ class _Parser:
             raise self.error(f"negative exponent on variable {name!r}", i)
         return Name(name, exponent)
 
-    def negative_x(self, name: str) -> str:
-        return (
-            f"negative exponents on {name} are not allowed in "
-            f"{self.profile.structure} structures"
-        )
+    def x_exponent(self, name: str, exponent: int, i: int) -> int:
+        """``exponent`` on the indeterminate ``name`` of token ``i``, which
+        may be negative only in the Laurent structures."""
+        if exponent < 0 and self.profile.structure not in _NEGATIVE_X_OK:
+            raise self.error(
+                f"negative exponents on {name} are not allowed in "
+                f"{self.profile.structure} structures",
+                i,
+            )
+        return exponent
 
     def o_tail(self, i: int):
         if self.profile.structure not in SERIES_STRUCTURES:
@@ -410,9 +413,7 @@ class _Parser:
         self.expect("^")
         precision = self.exponent()
         self.expect(")")
-        if precision < 0 and self.profile.structure not in _NEGATIVE_X_OK:
-            raise self.error(self.negative_x("X"), i)
-        return OTail(precision)
+        return OTail(self.x_exponent("X", precision, i))
 
     def matrix(self):
         rows = [self.matrix_row()]
