@@ -411,9 +411,13 @@ class _Parser:
             raise self.error("the tail marker reads O(X^p)", x)
         self.i = x + 1
         self.expect("^")
-        precision = self.exponent()
+        precision = self.x_exponent("X", self.exponent(), i)
         self.expect(")")
-        return OTail(self.x_exponent("X", precision, i))
+        if precision < 1 and self.profile.structure == "power_series":
+            raise self.error(
+                "the tail precision must be >= 1 in power_series structures", i
+            )
+        return OTail(precision)
 
     def matrix(self):
         rows = [self.matrix_row()]

@@ -140,18 +140,19 @@ class SigmaQComplex(TwistMap):
         if q == 0:
             raise ValueError("q must be a nonzero rational")
         self.q = q
+        self.q_inverse = 1 / q
         claims = set(_BIJECTION_CLAIMS)
         if q in (1, -1):
             claims.add(MULTIPLICATIVE)
         super().__init__(COMPLEX_Q, claims, True)
 
     def _apply(self, a):
-        re, im = a.value
-        return RingElement(self.domain, (re, im * self.q))
+        value = self.domain.scale_imaginary_value(a.value, self.q)
+        return RingElement(self.domain, value)
 
     def _apply_inverse(self, a):
-        re, im = a.value
-        return RingElement(self.domain, (re, im / self.q))
+        value = self.domain.scale_imaginary_value(a.value, self.q_inverse)
+        return RingElement(self.domain, value)
 
 
 class ConjugationMap(TwistMap):

@@ -5,9 +5,15 @@ elements are plain immutable Python data, canonicalized at construction so
 that structural equality coincides with mathematical equality:
 
 * ``Rationals``      -- ``fractions.Fraction`` (always reduced, denominator > 0)
-* ``CayleyDickson``  -- flat tuple of the ``2**level`` base coordinates, the
-  ``lo`` half before the ``hi`` half at every doubling level; level 0 is the
-  base, 1 the complexes, 2 the quaternions, 3 the octonions, 4 the sedenions
+* ``CayleyDickson``  -- over the rationals, the pair ``(numerators, den)``: a
+  tuple of ``2**level`` integers over one positive denominator with
+  ``gcd(*numerators, den) == 1``, the layout of FLINT's ``fmpq_poly``; over
+  any other base, the flat tuple of the ``2**level`` base coordinates. Either
+  way the coordinates are in doubling order, the ``lo`` half before the
+  ``hi`` half at every level; level 0 is the base, 1 the complexes, 2 the
+  quaternions, 3 the octonions, 4 the sedenions. :meth:`CayleyDickson.canon`
+  builds a value from its coordinates and :meth:`CayleyDickson.flat_values`
+  reads them back as base values (``Fraction`` over the rationals)
 * ``JordanPlus``     -- the wrapped base value itself (the product changes,
   the carrier does not)
 * ``Poly1``          -- sorted tuple of ``(exponent, Fraction)``, no zero terms
@@ -29,12 +35,14 @@ from a sign table ``e_i * e_j = +-e_(i XOR j)`` built once per level.
 A ring defines its product once, as a fused sum of products,
 :meth:`RingDescriptor.dot_values`: the canonical value of ``sum(a*b for a, b
 in pairs)``. The product ``mul_values`` is the dot of one pair, and twisted
-products sum each output coefficient with one dot. Over the rationals
-(``Rationals``, Cayley-Dickson coordinates, polynomial coefficients, and
-matrix entries over them) the products are accumulated as integer numerators
-over the lcm of their denominators, so each result coordinate costs one
-``Fraction``, not one per product. A Cayley-Dickson ring over any other base
-makes one base dot per result coordinate.
+products sum each output coefficient with one dot. Over the rationals the
+products are accumulated as integer numerators over one denominator, so a
+result costs one gcd (a Cayley-Dickson value) or one ``Fraction`` per
+coordinate (``Rationals``, polynomial coefficients, and matrix entries), not
+one per product. Sums, negations, scalings and samples of a Cayley-Dickson
+value over the rationals are integer operations with at most one gcd each. A
+Cayley-Dickson ring over any other base makes one base dot per result
+coordinate.
 
 :meth:`RingDescriptor.scalar_of` reads a value as a rational multiple of the
 unit when it is one. Every ring here is an algebra over the rationals, so a
@@ -45,11 +53,12 @@ products use this to skip the ring product for a rational left factor.
 from __future__ import annotations
 
 import operator
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from random import Random
 from typing import Any
 
@@ -105,9 +114,13 @@ def labeled_terms(ring: RingDescriptor, value, label: str) -> tuple:
     if not label:
         return terms
     if len(terms) == 1:
-        sign, text = terms[0]
-        return ((sign, label if text == "1" else f"{text}*{label}"),)
+        return (_labeled(*terms[0], label),)
     return ((1, f"({_join_terms(terms)})*{label}"),)
+
+
+def _labeled(sign: int, text: str, label: str) -> tuple[int, str]:
+    """The one-term coefficient ``sign * text`` times a non-empty label."""
+    return sign, label if text == "1" else f"{text}*{label}"
 
 
 class RingDescriptor:
@@ -190,6 +203,106 @@ def _rational_dot(pairs) -> Fraction:
     return _fraction_sum([(an * bn, ad * bd) for an, ad, bn, bd in ratios])
 
 
+# --- rational vectors: integer numerators over one denominator ----------------
+#
+# A vector of rationals is the pair ``(nums, den)``: a tuple of integer
+# numerators and one positive denominator with ``gcd(*nums, den) == 1``, so
+# that equal vectors are equal data; zero is ``((0,) * n, 1)``. Each helper
+# that can leave a common factor ends in one gcd (:func:`_vec`).
+
+
+def _vec(nums, den: int) -> tuple:
+    """The canonical vector ``nums / den`` for ``den > 0``."""
+    g = gcd(*nums, den)
+    if g == 1:
+        return tuple(nums), den
+    return tuple([n // g for n in nums]), den // g
+
+
+def _vec_from_ratios(ratios) -> tuple:
+    """The vector of the rationals ``n / d`` given as ``(n, d)``, ``d > 0``."""
+    den = lcm(*[d for _, d in ratios])
+    return _vec([n * (den // d) for n, d in ratios], den)
+
+
+def _vec_from_rationals(xs) -> tuple:
+    return _vec_from_ratios([as_rational(x).as_integer_ratio() for x in xs])
+
+
+def _vec_to_rationals(v) -> tuple[Fraction, ...]:
+    nums, den = v
+    return tuple([Fraction(n, den) for n in nums])
+
+
+def _vec_add(a, b) -> tuple:
+    (an, ad), (bn, bd) = a, b
+    if ad == bd:
+        return _vec(list(map(operator.add, an, bn)), ad)
+    den = lcm(ad, bd)
+    sa, sb = den // ad, den // bd
+    return _vec([x * sa + y * sb for x, y in zip(an, bn)], den)
+
+
+def _vec_neg(v) -> tuple:
+    nums, den = v
+    return tuple([-n for n in nums]), den
+
+
+def _vec_scale(v, q: Fraction) -> tuple:
+    nums, den = v
+    qn, qd = q.as_integer_ratio()
+    return _vec([n * qn for n in nums], den * qd)
+
+
+def _vec_bilinear(rows, pairs) -> tuple:
+    """``sum(x*y for x, y in pairs)`` for the bilinear product whose
+    coordinate ``k`` is ``sum(x_i*y_j for i, j in plus) - sum(x_i*y_j for i, j
+    in minus)``, where ``rows[k] == (plus, minus)``. The left factors are
+    brought to the lcm of the pairs' denominators, so the result costs one
+    gcd."""
+    if len(pairs) == 1:
+        (xs, xd), (ys, yd) = pairs[0]
+        den, scaled = xd * yd, [(xs, ys)]
+    else:
+        dens = [x[1] * y[1] for x, y in pairs]
+        den = lcm(*dens)
+        scaled = [
+            (xs if d == den else [den // d * a for a in xs], ys)
+            for ((xs, _), (ys, _)), d in zip(pairs, dens)
+        ]
+    return _vec([
+        sum([xs[i] * ys[j] for xs, ys in scaled for i, j in plus])
+        - sum([xs[i] * ys[j] for xs, ys in scaled for i, j in minus])
+        for plus, minus in rows
+    ], den)
+
+
+def _vec_terms(v):
+    """``(index, sign, text)`` for each nonzero coordinate of ``v``, ``text``
+    being its magnitude in lowest terms as ``str`` writes a ``Fraction``."""
+    nums, den = v
+    for index, n in enumerate(nums):
+        if n:
+            g = gcd(n, den)
+            yield index, 1 if n > 0 else -1, _ratio_text(abs(n) // g, den // g)
+
+
+def _ratio_text(n: int, d: int) -> str:
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:  # more digits than int-to-str conversion allows
+        raise ValueError(
+            f"a coefficient has {_digit_count(max(n, d))} digits, more than "
+            f"the {sys.get_int_max_str_digits()} that can be printed"
+        ) from None
+
+
+def _digit_count(m: int) -> int:
+    """The number of decimal digits of ``m >= 1``, without converting it."""
+    k = int((m.bit_length() - 1) * 0.30102999566398120) + 1  # of 2**(bits-1)
+    return k + (m >= 10**k)
+
+
 @dataclass(frozen=True)
 class Rationals(RingDescriptor):
     @property
@@ -264,16 +377,24 @@ def _sign_table(level: int) -> tuple:
     return tuple(rows)
 
 
-def _integers(x) -> tuple[list[int], int]:
-    """Rationals ``x`` as integer numerators over their lcm denominator."""
-    ratios = [c.as_integer_ratio() for c in x]
-    den = lcm(*[d for _, d in ratios])
-    return [n * (den // d) for n, d in ratios], den
+@lru_cache(maxsize=None)
+def _signed_rows(level: int) -> tuple:
+    """The sign table over a commutative base: row ``k`` as the ``(i, j)``
+    pairs with ``e_i * e_j = +e_k``, then those with ``-e_k``."""
+    return tuple(
+        tuple(
+            tuple((i, j) for i, (j, s) in enumerate(zip(js, signs)) if s == sign)
+            for sign in (1, -1)
+        )
+        for js, signs, _ in _sign_table(level)
+    )
 
 
 @dataclass(frozen=True)
 class CayleyDickson(RingDescriptor):
-    """Doubling algebra over ``base``; values are flat coordinate tuples."""
+    """Doubling algebra over ``base``. Over the rationals a value is one
+    rational vector ``(numerators, den)``; over any other base it is the flat
+    tuple of base coordinates."""
 
     level: int
     base: RingDescriptor = RATIONALS
@@ -308,73 +429,112 @@ class CayleyDickson(RingDescriptor):
         return self.level == 1 and self.base.is_commutative
 
     def canon(self, raw):
+        """The value with the ``2**level`` base coordinates ``raw``; over the
+        rationals ``raw`` may also be a value, which is returned canonical."""
+        over_q = isinstance(self.base, Rationals)
+        if over_q and isinstance(raw, tuple) and len(raw) == 2:
+            if isinstance(raw[0], tuple):  # no coordinate is a tuple
+                raw = _vec_to_rationals(raw)
         dim = 1 << self.level
         if not isinstance(raw, (tuple, list)) or len(raw) != dim:
             raise ValueError(f"a level-{self.level} value has {dim} coordinates")
+        if over_q:
+            return _vec_from_rationals(raw)
         return tuple(map(self.base.canon, raw))
 
     def zero_value(self):
+        if isinstance(self.base, Rationals):
+            return (0,) * (1 << self.level), 1
         return (self.base.zero_value(),) * (1 << self.level)
 
     def one_value(self):
+        if isinstance(self.base, Rationals):
+            return (1,) + (0,) * ((1 << self.level) - 1), 1
         return (self.base.one_value(),) + self.zero_value()[1:]
 
     def add_values(self, a, b):
+        if isinstance(self.base, Rationals):
+            return _vec_add(a, b)
         return tuple(map(self.base.add_values, a, b))
 
     def neg_value(self, a):
+        if isinstance(self.base, Rationals):
+            return _vec_neg(a)
         return tuple(map(self.base.neg_value, a))
 
     def conj_value(self, a):
+        if isinstance(self.base, Rationals):
+            nums, den = a
+            return (nums[0], *[-n for n in nums[1:]]), den
         return (a[0], *map(self.base.neg_value, a[1:]))
 
+    def scale_imaginary_value(self, a, q: Fraction):
+        """``a`` with every coordinate but the real one scaled by ``q``."""
+        if isinstance(self.base, Rationals):
+            (re, *im), den = a
+            qn, qd = q.as_integer_ratio()
+            return _vec([re * qd, *[n * qn for n in im]], den * qd)
+        return (a[0], *[self.base.scale_value(c, q) for c in a[1:]])
+
     def is_zero_value(self, a):
+        if isinstance(self.base, Rationals):
+            return not any(a[0])
         return all(map(self.base.is_zero_value, a))
 
     def dot_values(self, pairs):
         base = self.base
-        if not isinstance(base, Rationals):
-            # Coordinate k is one base dot over row k of every pair: a negative
-            # sign takes the negated left factor, a swapped entry reverses the
-            # pair.
-            signed = [({1: x, -1: tuple(map(base.neg_value, x))}, y) for x, y in pairs]
-            out = []
-            for js, signs, swaps in _sign_table(self.level):
-                row = []
-                for xs, y in signed:
-                    for i, (j, s, w) in enumerate(zip(js, signs, swaps)):
-                        a = xs[s][i]
-                        row.append((y[j], a) if w else (a, y[j]))
-                out.append(base.dot_values(row))
-            return tuple(out)
-        ints = [(*_integers(x), *_integers(y)) for x, y in pairs]
-        den = lcm(*[dx * dy for _, dx, _, dy in ints])
-        scaled = [([den // (dx * dy) * a for a in xs], ys) for xs, dx, ys, dy in ints]
-        return tuple(
-            Fraction(
-                sum([s * a * ys[j]
-                     for xs, ys in scaled for a, j, s in zip(xs, js, signs)]),
-                den,
-            )
-            for js, signs, _ in _sign_table(self.level)
-        )
+        if isinstance(base, Rationals):
+            return _vec_bilinear(_signed_rows(self.level), pairs)
+        # Coordinate k is one base dot over row k of every pair: a negative
+        # sign takes the negated left factor, a swapped entry reverses the
+        # pair.
+        signed = [({1: x, -1: tuple(map(base.neg_value, x))}, y) for x, y in pairs]
+        out = []
+        for js, signs, swaps in _sign_table(self.level):
+            row = []
+            for xs, y in signed:
+                for i, (j, s, w) in enumerate(zip(js, signs, swaps)):
+                    a = xs[s][i]
+                    row.append((y[j], a) if w else (a, y[j]))
+            out.append(base.dot_values(row))
+        return tuple(out)
 
     def scale_value(self, a, q):
+        if isinstance(self.base, Rationals):
+            return _vec_scale(a, q)
         return tuple(self.base.scale_value(c, q) for c in a)
 
     def scalar_of(self, a):
+        if isinstance(self.base, Rationals):
+            (re, *im), den = a
+            return None if any(im) else Fraction(re, den)
         if all(map(self.base.is_zero_value, a[1:])):
             return self.base.scalar_of(a[0])
         return None
 
     def sample_value(self, rng):
-        return tuple(self.base.sample_value(rng) for _ in range(1 << self.level))
+        dim = 1 << self.level
+        if isinstance(self.base, Rationals):
+            # The draws of _sample_fraction, coordinate by coordinate.
+            return _vec_from_ratios(
+                [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim)]
+            )
+        return tuple(self.base.sample_value(rng) for _ in range(dim))
 
     def flat_values(self, a) -> tuple:
-        """The 2**level base coordinates, in doubling order."""
+        """The 2**level base coordinates, in doubling order; ``Fraction``s
+        over the rationals."""
+        if isinstance(self.base, Rationals):
+            return _vec_to_rationals(a)
         return a
 
     def render_terms(self, a):
+        if isinstance(self.base, Rationals):
+            return tuple(
+                _labeled(sign, text, _basis_label(self.level, index)) if index
+                else (sign, text)
+                for index, sign, text in _vec_terms(a)
+            )
         terms: list[tuple[int, str]] = []
         for index, comp in enumerate(a):
             if not self.base.is_zero_value(comp):
@@ -737,9 +897,8 @@ class RingElement:
             if self.is_zero():
                 raise NotInvertible("zero has no inverse")
             conj = self.conjugate()
-            norm_flat = d.flat_values(d.mul_values(self.value, conj.value))
-            norm = norm_flat[0]
-            if any(c != 0 for c in norm_flat[1:]) or norm <= 0:
+            norm = d.scalar_of(d.mul_values(self.value, conj.value))
+            if norm is None or norm <= 0:
                 raise NotInvertible("norm is not a positive rational")
             inv = conj.scale(Fraction(1) / norm)
             if (self * inv) != one(d) or (inv * self) != one(d):

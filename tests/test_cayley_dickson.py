@@ -1,23 +1,27 @@
 """The flat Cayley-Dickson product against the doubling rule it tabulates.
 
-``CayleyDickson`` stores a value as its ``2**level`` base coordinates and
-multiplies through a sign table: ``dot_values`` sums the products of several
-pairs, and the product is the dot of one pair. The reference here applies the
-doubling rule ``(a, b)(c, d) = (ac - conj(d)b, da + b conj(c))`` recursively
-to the two halves of the coordinate tuple, sharing no code with the table; a
-dot is checked against the coordinate-wise sum of its reference products. The
-work-count tests wrap the base ring's operations in counters; they never look
-at time.
+``CayleyDickson`` stores a value as its ``2**level`` base coordinates (over the
+rationals, as integer numerators over one denominator) and multiplies through a
+sign table: ``dot_values`` sums the products of several pairs, and the product
+is the dot of one pair. The reference here applies the doubling rule
+``(a, b)(c, d) = (ac - conj(d)b, da + b conj(c))`` recursively to the two
+halves of a tuple of base coordinates, sharing no code with the table; a dot
+is checked against the coordinate-wise sum of its reference products. Values
+go in through ``canon`` and come out through ``flat_values``. The work-count
+tests wrap the base ring's operations in counters; they never look at time.
 """
 
 from fractions import Fraction as F
+from math import gcd
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewlab import rings
 from skewlab.rings import (
+    OCTONIONS_Q,
     RATIONALS,
     SEDENIONS_Q,
     CayleyDickson,
@@ -70,7 +74,8 @@ def test_flat_product_matches_doubling_rule(base_name, level, data):
     d = CayleyDickson(level, base)
     x = data.draw(coordinates(base, level))
     y = data.draw(coordinates(base, level))
-    assert d.mul_values(x, y) == doubling_mul(base, x, y)
+    product = d.mul_values(d.canon(x), d.canon(y))
+    assert d.flat_values(product) == doubling_mul(base, x, y)
 
 
 @pytest.mark.parametrize("level", range(5))
@@ -82,15 +87,47 @@ def test_dot_matches_summed_doubling_rule(base_name, level, data):
     d = CayleyDickson(level, base)
     pair = st.tuples(coordinates(base, level), coordinates(base, level))
     pairs = data.draw(st.lists(pair, max_size=4))
-    expected = d.zero_value()
+    expected = d.flat_values(d.zero_value())
     for x, y in pairs:
         expected = tuple(map(base.add_values, expected, doubling_mul(base, x, y)))
-    assert d.dot_values(pairs) == expected
+    dot = d.dot_values([(d.canon(x), d.canon(y)) for x, y in pairs])
+    assert d.flat_values(dot) == expected
+
+
+@pytest.mark.parametrize("level", range(5))
+@SETTINGS
+@given(data=st.data())
+def test_values_over_rationals_are_canonical(level, data):
+    # (numerators, den) with den > 0 and gcd 1: every spelling of one value
+    # is the same data, so equal values hash alike.
+    d = CayleyDickson(level)
+    x = data.draw(coordinates(RATIONALS, level))
+    k = data.draw(st.integers(2, 30))
+    value = d.canon(x)
+    nums, den = value
+    assert len(nums) == 1 << level and den > 0 and gcd(*nums, den) == 1
+    assert d.flat_values(value) == x
+    spellings = [
+        d.canon(value),
+        d.canon(list(x)),
+        d.canon(tuple(map(str, x))),
+        d.canon((tuple(n * k for n in nums), den * k)),
+        d.scale_value(d.scale_value(value, F(k)), F(1, k)),
+        d.add_values(value, d.zero_value()),
+        d.dot_values([(value, d.one_value()), (d.zero_value(), value)]),
+    ]
+    for other in spellings:
+        assert other == value and hash(other) == hash(value)
+    zero = (0,) * (1 << level), 1
+    assert d.zero_value() == d.add_values(value, d.neg_value(value)) == zero
+    assert d.scale_value(value, F(0)) == d.canon([0] * (1 << level)) == zero
 
 
 def test_sampling_order_is_pinned():
-    value = random_element(CayleyDickson(3), Random(2024)).value
-    assert value == (F(2), F(9, 5), F(-3, 7), F(-1, 9), F(-1, 4), F(2, 7), F(7, 4), F(0))
+    value = random_element(OCTONIONS_Q, Random(2024)).value
+    expected = (F(2), F(9, 5), F(-3, 7), F(-1, 9), F(-1, 4), F(2, 7), F(7, 4), F(0))
+    assert OCTONIONS_Q.flat_values(value) == expected
+    assert value == OCTONIONS_Q.canon(expected)
 
 
 def counting(monkeypatch, cls, name):
@@ -112,10 +149,33 @@ def counting(monkeypatch, cls, name):
 def test_sedenion_product_over_rationals_makes_no_base_products(monkeypatch):
     rng = Random(3)
     x, y = SEDENIONS_Q.sample_value(rng), SEDENIONS_Q.sample_value(rng)
-    expected = doubling_mul(RATIONALS, x, y)
+    flat = SEDENIONS_Q.flat_values
+    expected = doubling_mul(RATIONALS, flat(x), flat(y))
     calls = counting(monkeypatch, Rationals, "mul_values")
-    assert SEDENIONS_Q.mul_values(x, y) == expected
+    assert flat(SEDENIONS_Q.mul_values(x, y)) == expected
     assert calls == []
+
+
+def test_arithmetic_over_rationals_builds_no_fractions(monkeypatch):
+    # Integer numerators over one denominator: no operation on sedenions
+    # over Q builds a Fraction, neither per coordinate nor per result.
+    d = SEDENIONS_Q
+    rng = Random(3)
+    x, y = d.sample_value(rng), d.sample_value(rng)
+    built = []
+    monkeypatch.setattr(rings, "Fraction", lambda *args: built.append(args))
+    results = [
+        d.mul_values(x, y),
+        d.dot_values([(x, y), (y, x)]),
+        d.add_values(x, y),
+        d.neg_value(x),
+        d.conj_value(x),
+        d.scale_value(x, F(-3, 4)),
+        d.scale_imaginary_value(x, F(2, 5)),
+        d.sample_value(rng),
+    ]
+    assert not any(map(d.is_zero_value, results))
+    assert built == []
 
 
 def test_sedenion_product_over_poly1_makes_one_base_dot_per_coordinate(monkeypatch):

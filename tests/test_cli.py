@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -347,6 +348,46 @@ def test_power_series_refuses_a_negative_tail_precision(capsys, cfg):
     laurent = {**POWER, "structure": "laurent_series"}
     code, out, err = run(capsys, ["series", "--config", cfg(laurent), "1 + O(X^-1)"])
     assert (code, out, err) == (0, "O(X^-1)\n", "")
+
+
+
+def test_power_series_refuses_a_zero_tail_precision(capsys, cfg):
+    # A zero window keeps no coefficient, as --precision 0 would not.
+    config = str(CONFIGS / "rational_power_series.json")
+    code, out, err = run(capsys, ["series", "--config", config, "1 + O(X^0)"])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the tail precision must be >= 1 in power_series structures "
+        "(at position 4)\n"
+    )
+    laurent = {**POWER, "structure": "laurent_series"}
+    code, out, err = run(capsys, ["series", "--config", cfg(laurent), "1 + O(X^0)"])
+    assert (code, out, err) == (0, "O(X^0)\n", "")
+
+
+def test_a_coefficient_too_long_to_print_is_a_domain_error(capsys):
+    # sigma doubles the imaginary part, so X^15000*i = 2^15000*i*X^15000,
+    # whose coefficient has 4516 digits.
+    config = str(CONFIGS / "complex_sigma2_laurent.json")
+    code, out, err = run(capsys, ["eval", "--config", config, "X^15000*i"])
+    limit = sys.get_int_max_str_digits()
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: a coefficient has 4516 digits, more than the {limit} that can "
+        "be printed\n"
+    )
+
+
+def test_matrix_literals_over_complex_entries(capsys, cfg):
+    # Matrix.canon receives the entries as canonical complex values.
+    matrix = {
+        "ring": {"matrix": {"n": 2, "base": {"cayley_dickson": {"level": 1}}}},
+        "sigma": {"kind": "identity"},
+        "structure": "ore",
+    }
+    expression = "[[1/2, 1], [0, 2]]*[[1, 3], [1, 0]]*X"
+    code, out, err = run(capsys, ["eval", "--config", cfg(matrix), expression])
+    assert (code, out, err) == (0, "[[3/2, 3/2], [2, 0]]*X\n", "")
 
 
 # Numbers end in a blank, so no run of digits makes a large exponent and the

@@ -359,8 +359,10 @@ def _asts(profile: ExprProfile):
             leaves.append(st.builds(Name, st.just(name), st.integers(0, 5)))
         else:
             leaves.append(st.just(Name(name)))
-    if profile.structure in ("power_series", "laurent_series"):
+    if profile.structure == "laurent_series":
         leaves.append(st.builds(OTail, x_exponents))
+    if profile.structure == "power_series":
+        leaves.append(st.builds(OTail, st.integers(1, 5)))
     return st.recursive(
         st.one_of(leaves),
         lambda inner: st.one_of(
@@ -464,6 +466,8 @@ _MATRIX = ExprProfile("element", Matrix(2))
         (_ORE, "\u0663*X", "unexpected character '\u0663'", 0),
         (_SERIES, "1 + O(X^-1)",
          "negative exponents on X are not allowed in power_series structures", 4),
+        (_SERIES, "1 + O(X^0)",
+         "the tail precision must be >= 1 in power_series structures", 4),
     ],
     ids=lambda v: v[:24] if isinstance(v, str) else None,
 )

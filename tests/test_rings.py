@@ -405,6 +405,38 @@ def test_is_zero_value_agrees_with_equality_to_zero(name, seed):
         assert d.is_zero_value(v) == (v == d.zero_value())
 
 
+@pytest.mark.parametrize("name", sorted(ZERO_TEST_RINGS))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32))
+def test_canon_is_idempotent_on_canonical_values(name, seed):
+    d = ZERO_TEST_RINGS[name]
+    a = d.sample_value(Random(seed))
+    for v in (a, d.zero_value(), d.one_value(), d.neg_value(a)):
+        assert d.canon(v) == v
+
+
+BIADDITIVE_RINGS = {
+    "Q": RATIONALS,
+    **{f"CD{lv}/Q": CayleyDickson(lv) for lv in range(5)},
+    "CD2/Poly1": CayleyDickson(2, Poly1()),
+    "Matrix2": Matrix(2),
+    "Matrix2/C": Matrix(2, COMPLEX_Q),
+    "JordanPlus/H": JordanPlus(QUATERNIONS_Q),
+    "Poly1": Poly1(),
+    "Poly2": Poly2(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIADDITIVE_RINGS))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seeds=st.lists(st.integers(0, 2**32), min_size=3, max_size=3))
+def test_products_are_biadditive(name, seeds):
+    d = BIADDITIVE_RINGS[name]
+    a, b, c = (random_element(d, Random(seed)) for seed in seeds)
+    assert (a + b) * c == a * c + b * c
+    assert a * (b + c) == a * b + a * c
+
+
 def folded_dot(d, pairs):
     acc = d.zero_value()
     for a, b in pairs:
