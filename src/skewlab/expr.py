@@ -249,6 +249,7 @@ class _Parser:
         self.end = len(tokens) - 1
         self.i = 0
         self.depth = 0
+        self.ring = profile.ring  # the ring of the values being parsed
         self.table = constant_table(profile.ring)
         self.indets = profile.indeterminate_names()
         if any(map(itemgetter(5), tokens)):
@@ -420,11 +421,17 @@ class _Parser:
         return OTail(precision)
 
     def matrix(self):
+        # The entries of a matrix literal are values of the base ring, and
+        # may name its constants.
+        ring, table = self.ring, self.table
+        if isinstance(ring, Matrix):
+            self.ring, self.table = ring.base, constant_table(ring.base)
         rows = [self.matrix_row()]
         while self.toks[self.i][4] == ",":
             self.i += 1
             rows.append(self.matrix_row())
         self.expect("]")
+        self.ring, self.table = ring, table
         return Mat(tuple(rows))
 
     def matrix_row(self):

@@ -18,7 +18,11 @@ that structural equality coincides with mathematical equality:
   the carrier does not)
 * ``Poly1``          -- sorted tuple of ``(exponent, Fraction)``, no zero terms
 * ``Poly2``          -- the same with ``(e1, e2)`` exponent pairs
-* ``Matrix``         -- tuple of row tuples of base values
+* ``Matrix``         -- over the rationals, the pair ``(numerators, den)`` of
+  the ``n*n`` entries in row-major order, in the Cayley-Dickson layout; over
+  any other base, the tuple of row tuples of base values.
+  :meth:`Matrix.canon` builds a value from its rows and :meth:`Matrix.rows`
+  reads them back (``Fraction`` entries over the rationals)
 
 Sparse term lists are one carrier from here up: ``Poly1`` and ``Poly2`` (one
 ``_PolyRing`` implementation; only the exponent differs) and the twisted
@@ -37,12 +41,12 @@ A ring defines its product once, as a fused sum of products,
 in pairs)``. The product ``mul_values`` is the dot of one pair, and twisted
 products sum each output coefficient with one dot. Over the rationals the
 products are accumulated as integer numerators over one denominator, so a
-result costs one gcd (a Cayley-Dickson value) or one ``Fraction`` per
-coordinate (``Rationals``, polynomial coefficients, and matrix entries), not
+result costs one gcd (a Cayley-Dickson value or a matrix) or one
+``Fraction`` per coordinate (``Rationals`` and polynomial coefficients), not
 one per product. Sums, negations, scalings and samples of a Cayley-Dickson
-value over the rationals are integer operations with at most one gcd each. A
-Cayley-Dickson ring over any other base makes one base dot per result
-coordinate.
+value or a matrix over the rationals are integer operations with at most one
+gcd each, and a transpose permutes the numerators. A Cayley-Dickson ring or a
+matrix ring over any other base makes one base dot per result coordinate.
 
 :meth:`RingDescriptor.scalar_of` reads a value as a rational multiple of the
 unit when it is one. Every ring here is an algebra over the rationals, so a
@@ -272,7 +276,7 @@ def _vec_bilinear(rows, pairs) -> tuple:
         ]
     return _vec([
         sum([xs[i] * ys[j] for xs, ys in scaled for i, j in plus])
-        - sum([xs[i] * ys[j] for xs, ys in scaled for i, j in minus])
+        - (sum([xs[i] * ys[j] for xs, ys in scaled for i, j in minus]) if minus else 0)
         for plus, minus in rows
     ], den)
 
@@ -334,9 +338,10 @@ class Rationals(RingDescriptor):
     sample_value = staticmethod(_sample_fraction)
 
     def render_terms(self, a):
-        if a == 0:
-            return ()
-        return ((1 if a > 0 else -1, str(abs(a))),)
+        n, d = a.as_integer_ratio()
+        if n > 0:
+            return ((1, _ratio_text(n, d)),)
+        return ((-1, _ratio_text(-n, d)),) if n else ()
 
 
 RATIONALS = Rationals()
@@ -737,9 +742,22 @@ class Poly2(_PolyRing):
         return "*".join(p for p in pieces if p)
 
 
+@lru_cache(maxsize=None)
+def _matrix_rows(n: int) -> tuple:
+    """The ``n x n`` matrix product as :func:`_vec_bilinear` rows over the
+    row-major entries: entry ``(r, c)`` sums ``x[r*n+k] * y[k*n+c]``."""
+    return tuple(
+        (tuple((r * n + k, k * n + c) for k in range(n)), ())
+        for r in range(n)
+        for c in range(n)
+    )
+
+
 @dataclass(frozen=True)
 class Matrix(RingDescriptor):
-    """Square matrices over ``base``."""
+    """Square matrices over ``base``. Over the rationals a value is one
+    rational vector ``(numerators, den)`` of the ``n*n`` entries in row-major
+    order; over any other base it is the tuple of row tuples of base values."""
 
     n: int
     base: RingDescriptor = RATIONALS
@@ -757,6 +775,12 @@ class Matrix(RingDescriptor):
         return self.n == 1 and self.base.is_commutative
 
     def canon(self, raw):
+        """The value with the rows ``raw``; over the rationals ``raw`` may
+        also be a value, which is returned canonical."""
+        over_q = isinstance(self.base, Rationals)
+        if over_q and isinstance(raw, tuple) and len(raw) == 2:
+            if isinstance(raw[1], int):  # a row is never an int
+                raw = self.rows(raw)
         rows = tuple(raw)
         if len(rows) != self.n:
             raise ValueError(f"expected {self.n} rows")
@@ -765,32 +789,53 @@ class Matrix(RingDescriptor):
             row = tuple(row)
             if len(row) != self.n:
                 raise ValueError(f"expected {self.n} columns")
-            out.append(tuple(self.base.canon(x) for x in row))
+            out.append(row if over_q else tuple(map(self.base.canon, row)))
+        if over_q:
+            return _vec_from_rationals([x for row in out for x in row])
         return tuple(out)
 
+    def rows(self, a) -> tuple:
+        """The rows of ``a`` as tuples of base values (``Fraction``s over
+        the rationals)."""
+        if isinstance(self.base, Rationals):
+            flat, n = _vec_to_rationals(a), self.n
+            return tuple(flat[r : r + n] for r in range(0, len(flat), n))
+        return a
+
     def zero_value(self):
+        if isinstance(self.base, Rationals):
+            return (0,) * (self.n * self.n), 1
         z = self.base.zero_value()
         return tuple(tuple(z for _ in range(self.n)) for _ in range(self.n))
 
     def one_value(self):
+        n = range(self.n)
+        if isinstance(self.base, Rationals):
+            return tuple(1 if r == c else 0 for r in n for c in n), 1
         z, o = self.base.zero_value(), self.base.one_value()
-        return tuple(
-            tuple(o if r == c else z for c in range(self.n)) for r in range(self.n)
-        )
+        return tuple(tuple(o if r == c else z for c in n) for r in n)
 
     def add_values(self, a, b):
+        if isinstance(self.base, Rationals):
+            return _vec_add(a, b)
         return tuple(
             tuple(self.base.add_values(x, y) for x, y in zip(ra, rb))
             for ra, rb in zip(a, b)
         )
 
     def neg_value(self, a):
+        if isinstance(self.base, Rationals):
+            return _vec_neg(a)
         return tuple(tuple(self.base.neg_value(x) for x in row) for row in a)
 
     def is_zero_value(self, a):
+        if isinstance(self.base, Rationals):
+            return not any(a[0])
         return all(all(map(self.base.is_zero_value, row)) for row in a)
 
     def dot_values(self, pairs):
+        if isinstance(self.base, Rationals):
+            return _vec_bilinear(_matrix_rows(self.n), pairs)
         dot, n = self.base.dot_values, range(self.n)
         return tuple(
             tuple(dot([(a[r][k], b[k][c]) for a, b in pairs for k in n]) for c in n)
@@ -798,9 +843,15 @@ class Matrix(RingDescriptor):
         )
 
     def scale_value(self, a, q):
+        if isinstance(self.base, Rationals):
+            return _vec_scale(a, q)
         return tuple(tuple(self.base.scale_value(x, q) for x in row) for row in a)
 
     def scalar_of(self, a):
+        if isinstance(self.base, Rationals):
+            (d, *_), den = a
+            unit = self.one_value()[0]
+            return Fraction(d, den) if a[0] == tuple([d * u for u in unit]) else None
         d, z = a[0][0], self.base.zero_value()
         n = range(self.n)
         if any(a[r][c] != (d if r == c else z) for r in n for c in n):
@@ -808,20 +859,31 @@ class Matrix(RingDescriptor):
         return self.base.scalar_of(d)
 
     def transpose_value(self, a):
+        if isinstance(self.base, Rationals):  # row r is column r
+            nums, den = a
+            return tuple([x for r in range(self.n) for x in nums[r :: self.n]]), den
         return tuple(tuple(a[c][r] for c in range(self.n)) for r in range(self.n))
 
     def sample_value(self, rng):
+        if isinstance(self.base, Rationals):
+            # The draws of _sample_fraction, entry by entry in row-major order.
+            return _vec_from_ratios(
+                [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(self.n**2)]
+            )
         return tuple(
             tuple(self.base.sample_value(rng) for _ in range(self.n))
             for _ in range(self.n)
         )
 
     def render_terms(self, a):
-        rows = ", ".join(
-            "[" + ", ".join(self.base.render_value(x) for x in row) + "]"
-            for row in a
-        )
-        return ((1, f"[{rows}]"),)
+        if isinstance(self.base, Rationals):
+            texts = ["0"] * (self.n * self.n)
+            for index, sign, text in _vec_terms(a):
+                texts[index] = "-" + text if sign < 0 else text
+            rows = [texts[r : r + self.n] for r in range(0, len(texts), self.n)]
+        else:
+            rows = [[self.base.render_value(x) for x in row] for row in a]
+        return ((1, "[" + ", ".join(f"[{', '.join(row)}]" for row in rows) + "]"),)
 
 
 @dataclass(frozen=True)

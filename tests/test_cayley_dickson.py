@@ -9,6 +9,10 @@ halves of a tuple of base coordinates, sharing no code with the table; a dot
 is checked against the coordinate-wise sum of its reference products. Values
 go in through ``canon`` and come out through ``flat_values``. The work-count
 tests wrap the base ring's operations in counters; they never look at time.
+
+``Matrix`` over the rationals uses the same layout, its ``n*n`` entries in
+row-major order as one vector of numerators over one denominator; the last
+tests here pin that form, read back through ``Matrix.rows``.
 """
 
 from fractions import Fraction as F
@@ -189,3 +193,67 @@ def test_sedenion_product_over_poly1_makes_one_base_dot_per_coordinate(monkeypat
     assert d.mul_values(x, y) == expected
     assert [len(pairs) for _, pairs in dots] == [16] * 16
     assert muls == adds == []
+
+
+# --- matrices over the rationals ------------------------------------------------
+
+
+def matrix_rows(n):
+    entry = st.builds(F, st.integers(-50, 50), st.integers(1, 60))
+    row = st.lists(entry, min_size=n, max_size=n).map(tuple)
+    return st.lists(row, min_size=n, max_size=n).map(tuple)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@SETTINGS
+@given(data=st.data())
+def test_matrix_values_over_rationals_are_canonical(n, data):
+    # (numerators, den) of the row-major entries with den > 0 and gcd 1:
+    # every spelling of one matrix is the same data and hashes alike.
+    d = Matrix(n)
+    rows = data.draw(matrix_rows(n))
+    k = data.draw(st.integers(2, 30))
+    value = d.canon(rows)
+    nums, den = value
+    assert len(nums) == n * n and den > 0 and gcd(*nums, den) == 1
+    assert d.rows(value) == rows
+    spellings = [
+        d.canon(value),
+        d.canon([list(row) for row in rows]),
+        d.canon([tuple(map(str, row)) for row in rows]),
+        d.canon((tuple(x * k for x in nums), den * k)),
+        d.scale_value(d.scale_value(value, F(k)), F(1, k)),
+        d.add_values(value, d.zero_value()),
+        d.dot_values([(value, d.one_value()), (d.zero_value(), value)]),
+        d.transpose_value(d.transpose_value(value)),
+    ]
+    for other in spellings:
+        assert other == value and hash(other) == hash(value)
+    zero = (0,) * (n * n), 1
+    assert d.zero_value() == d.add_values(value, d.neg_value(value)) == zero
+    assert d.scale_value(value, F(0)) == d.canon([[0] * n] * n) == zero
+
+
+def test_matrix_sampling_order_is_pinned():
+    # The draws of one Fraction per entry, row by row.
+    value = Matrix(2).sample_value(Random(0))
+    assert Matrix(2).rows(value) == ((F(3, 7), F(-8, 5)), (F(7, 8), F(3, 5)))
+
+
+def test_matrix_arithmetic_over_rationals_builds_no_fractions(monkeypatch):
+    d = Matrix(3)
+    rng = Random(3)
+    x, y = d.sample_value(rng), d.sample_value(rng)
+    built = []
+    monkeypatch.setattr(rings, "Fraction", lambda *args: built.append(args))
+    results = [
+        d.mul_values(x, y),
+        d.dot_values([(x, y), (y, x)]),
+        d.add_values(x, y),
+        d.neg_value(x),
+        d.transpose_value(x),
+        d.scale_value(x, F(-3, 4)),
+        d.sample_value(rng),
+    ]
+    assert not any(map(d.is_zero_value, results))
+    assert built == []

@@ -378,16 +378,37 @@ def test_a_coefficient_too_long_to_print_is_a_domain_error(capsys):
     )
 
 
+def test_a_rational_coefficient_too_long_to_print_is_a_domain_error(capsys):
+    # X1*Y = 2*Y*X1 on the quantum torus, so X1^15000*Y = 2^15000*Y*X1^15000,
+    # whose rational coefficient has 4516 digits.
+    config = str(CONFIGS / "quantum_torus.json")
+    code, out, err = run(capsys, ["eval", "--config", config, "X1^15000*Y"])
+    limit = sys.get_int_max_str_digits()
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: a coefficient has 4516 digits, more than the {limit} that can "
+        "be printed\n"
+    )
+
+
 def test_matrix_literals_over_complex_entries(capsys, cfg):
-    # Matrix.canon receives the entries as canonical complex values.
+    # Matrix.canon receives the entries as canonical complex values, and the
+    # entries of a literal may name the base ring's constants; outside a
+    # literal those are no constants of the matrix ring.
     matrix = {
         "ring": {"matrix": {"n": 2, "base": {"cayley_dickson": {"level": 1}}}},
         "sigma": {"kind": "identity"},
         "structure": "ore",
     }
+    config = cfg(matrix)
     expression = "[[1/2, 1], [0, 2]]*[[1, 3], [1, 0]]*X"
-    code, out, err = run(capsys, ["eval", "--config", cfg(matrix), expression])
+    code, out, err = run(capsys, ["eval", "--config", config, expression])
     assert (code, out, err) == (0, "[[3/2, 3/2], [2, 0]]*X\n", "")
+    expression = "[[1/2 + i, 1], [0, 2*i]]*X*[[1, 3], [1/3*i, 0]]"
+    code, out, err = run(capsys, ["eval", "--config", config, expression])
+    assert (code, out, err) == (0, "[[1/2 + 4/3*i, 3/2 + 3*i], [-2/3, 0]]*X\n", "")
+    code, out, err = run(capsys, ["eval", "--config", config, "[[i, 0], [0, i]]*X + i"])
+    assert (code, out, err) == (2, "", "error: unknown constant 'i' (at position 21)\n")
 
 
 # Numbers end in a blank, so no run of digits makes a large exponent and the

@@ -387,6 +387,7 @@ ZERO_TEST_RINGS = {
     "JordanPlus/Matrix2": JordanPlus(Matrix(2)),
     "Poly1": Poly1(),
     "Poly2": Poly2(),
+    "Matrix1": Matrix(1),
     "Matrix2": Matrix(2),
     "Matrix3": Matrix(3),
 }
@@ -419,8 +420,10 @@ BIADDITIVE_RINGS = {
     "Q": RATIONALS,
     **{f"CD{lv}/Q": CayleyDickson(lv) for lv in range(5)},
     "CD2/Poly1": CayleyDickson(2, Poly1()),
+    "Matrix1": Matrix(1),
     "Matrix2": Matrix(2),
     "Matrix2/C": Matrix(2, COMPLEX_Q),
+    "Matrix3": Matrix(3),
     "JordanPlus/H": JordanPlus(QUATERNIONS_Q),
     "Poly1": Poly1(),
     "Poly2": Poly2(),
