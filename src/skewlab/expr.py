@@ -421,17 +421,18 @@ class _Parser:
         return OTail(precision)
 
     def matrix(self):
-        # The entries of a matrix literal are values of the base ring, and
-        # may name its constants.
-        ring, table = self.ring, self.table
+        # The entries of a matrix literal are values of the base ring: they
+        # may name its constants, and no indeterminate.
+        ring, table, indets = self.ring, self.table, self.indets
         if isinstance(ring, Matrix):
             self.ring, self.table = ring.base, constant_table(ring.base)
+            self.indets = ()
         rows = [self.matrix_row()]
         while self.toks[self.i][4] == ",":
             self.i += 1
             rows.append(self.matrix_row())
         self.expect("]")
-        self.ring, self.table = ring, table
+        self.ring, self.table, self.indets = ring, table, indets
         return Mat(tuple(rows))
 
     def matrix_row(self):

@@ -6,6 +6,12 @@ surjectivity), and, when available, an exact inverse. Maps on polynomial
 domains are stored as monomial-level rules and extended additively, which is
 what makes the inverses exact.
 
+The value hooks ``value`` and ``inverse_value``, which the products' twist
+tables call, take and return raw values of the domain: no domain check, no
+wrapper, and exactly what ``domain.canon`` would return. A map defines them,
+or only ``_apply`` and ``_apply_inverse``, which the default hooks wrap; a
+subclass of a map that defines the hooks overrides the hooks.
+
 The ``verify_*`` functions are sampling-based falsifiers: each runs its
 sampler through :func:`~skewlab.reports.falsify` and either produces a
 concrete counterexample or reports that no violation was found in N trials.
@@ -27,7 +33,6 @@ from .rings import (
     RingDescriptor,
     RingElement,
     as_rational,
-    element,
     one,
     random_element,
     zero,
@@ -78,11 +83,21 @@ class TwistMap:
         self._check_domain(a)
         return self._apply_inverse(a)
 
+    def value(self, v):
+        return self._apply(RingElement(self.domain, v)).value
+
+    def inverse_value(self, v):
+        return self._apply_inverse(RingElement(self.domain, v)).value
+
     def _apply(self, a: RingElement) -> RingElement:
-        raise NotImplementedError
+        if type(self).value is TwistMap.value:
+            raise NotImplementedError(f"{self.kind} defines neither value nor _apply")
+        return RingElement(self.domain, self.value(a.value))
 
     def _apply_inverse(self, a: RingElement) -> RingElement:
-        raise NoInverse(f"{self.kind} carries no inverse")
+        if not self.has_inverse or type(self).inverse_value is TwistMap.inverse_value:
+            raise NoInverse(f"{self.kind} carries no inverse")
+        return RingElement(self.domain, self.inverse_value(a.value))
 
     def _key(self):
         return tuple(sorted(vars(self).items()))
@@ -108,11 +123,10 @@ class IdentityMap(TwistMap):
     def __init__(self, domain: RingDescriptor):
         super().__init__(domain, _BIJECTION_CLAIMS | {MULTIPLICATIVE}, True)
 
-    def _apply(self, a):
-        return a
+    def value(self, v):
+        return v
 
-    def _apply_inverse(self, a):
-        return a
+    inverse_value = value
 
 
 class ZeroMap(TwistMap):
@@ -123,8 +137,8 @@ class ZeroMap(TwistMap):
     def __init__(self, domain: RingDescriptor):
         super().__init__(domain, {ADDITIVE, ANNIHILATES_ONE}, False)
 
-    def _apply(self, a):
-        return zero(self.domain)
+    def value(self, v):
+        return self.domain.zero_value()
 
 
 class SigmaQComplex(TwistMap):
@@ -146,13 +160,11 @@ class SigmaQComplex(TwistMap):
             claims.add(MULTIPLICATIVE)
         super().__init__(COMPLEX_Q, claims, True)
 
-    def _apply(self, a):
-        value = self.domain.scale_imaginary_value(a.value, self.q)
-        return RingElement(self.domain, value)
+    def value(self, v):
+        return self.domain.scale_imaginary_value(v, self.q)
 
-    def _apply_inverse(self, a):
-        value = self.domain.scale_imaginary_value(a.value, self.q_inverse)
-        return RingElement(self.domain, value)
+    def inverse_value(self, v):
+        return self.domain.scale_imaginary_value(v, self.q_inverse)
 
 
 class ConjugationMap(TwistMap):
@@ -168,11 +180,10 @@ class ConjugationMap(TwistMap):
             claims.add(MULTIPLICATIVE)
         super().__init__(domain, claims, True)
 
-    def _apply(self, a):
-        return a.conjugate()
+    def value(self, v):
+        return self.domain.conj_value(v)
 
-    def _apply_inverse(self, a):
-        return a.conjugate()
+    inverse_value = value
 
 
 class QuantumTorusSigma(TwistMap):
@@ -190,16 +201,12 @@ class QuantumTorusSigma(TwistMap):
         self.q = q
         super().__init__(domain, _BIJECTION_CLAIMS | {MULTIPLICATIVE}, True)
 
-    def _scale_by_power(self, a, q):
-        return RingElement(
-            self.domain, tuple((e, c * q**e) for e, c in a.value)
-        )
+    def value(self, v):
+        return tuple([(e, c * self.q**e) for e, c in v])
 
-    def _apply(self, a):
-        return self._scale_by_power(a, self.q)
-
-    def _apply_inverse(self, a):
-        return self._scale_by_power(a, 1 / self.q)
+    def inverse_value(self, v):
+        q = 1 / self.q
+        return tuple([(e, c * q**e) for e, c in v])
 
 
 class FormalDerivative(TwistMap):
@@ -210,8 +217,9 @@ class FormalDerivative(TwistMap):
             raise DescriptorMismatch("the formal derivative lives on Poly1")
         super().__init__(domain, {ADDITIVE, ANNIHILATES_ONE}, False)
 
-    def _apply(self, a):
-        return element(self.domain, [(e - 1, c * e) for e, c in a.value if e > 0])
+    def value(self, v):
+        # Exponents stay distinct and ascending, and no coefficient vanishes.
+        return tuple([(e - 1, c * e) for e, c in v if e])
 
 
 class CoefficientDoubler(TwistMap):
@@ -225,17 +233,11 @@ class CoefficientDoubler(TwistMap):
             raise DescriptorMismatch("the coefficient doubler lives on Poly1")
         super().__init__(domain, _BIJECTION_CLAIMS, True)
 
-    def _apply(self, a):
-        return RingElement(
-            self.domain,
-            tuple((e, c * 2 if e == 1 else c) for e, c in a.value),
-        )
+    def value(self, v):
+        return tuple([(e, c * 2 if e == 1 else c) for e, c in v])
 
-    def _apply_inverse(self, a):
-        return RingElement(
-            self.domain,
-            tuple((e, c / 2 if e == 1 else c) for e, c in a.value),
-        )
+    def inverse_value(self, v):
+        return tuple([(e, c / 2 if e == 1 else c) for e, c in v])
 
 
 def _cantor_pair(a: int, b: int) -> int:
@@ -294,17 +296,12 @@ class CounterexampleSigma(TwistMap):
             return (a // 2, b)
         return (0, 2 * (_cantor_pair((a - 1) // 2, b) + 1))
 
-    def _apply(self, a):
-        return element(
-            self.domain,
-            [(self.image_exponents(*e), c) for e, c in a.value],
-        )
+    def value(self, v):
+        # The images of the monomials come in another order: canon sorts.
+        return self.domain.canon([(self.image_exponents(*e), c) for e, c in v])
 
-    def _apply_inverse(self, a):
-        return element(
-            self.domain,
-            [(self.preimage_exponents(*e), c) for e, c in a.value],
-        )
+    def inverse_value(self, v):
+        return self.domain.canon([(self.preimage_exponents(*e), c) for e, c in v])
 
 
 class TransposeMap(TwistMap):
@@ -318,11 +315,10 @@ class TransposeMap(TwistMap):
             claims.add(MULTIPLICATIVE)
         super().__init__(domain, claims, True)
 
-    def _apply(self, a):
-        return RingElement(self.domain, self.domain.transpose_value(a.value))
+    def value(self, v):
+        return self.domain.transpose_value(v)
 
-    def _apply_inverse(self, a):
-        return self._apply(a)
+    inverse_value = value
 
 
 class PowerMap(TwistMap):
@@ -341,11 +337,13 @@ class PowerMap(TwistMap):
             claims = base.claims
         super().__init__(base.domain, claims, base.has_inverse or exponent == 0)
 
-    def _apply(self, a):
-        return power_apply(self.base, self.exponent, a)
+    def value(self, v):
+        e = self.exponent
+        return power_table(self.base, v, e, e)[e]
 
-    def _apply_inverse(self, a):
-        return power_apply(self.base, -self.exponent, a)
+    def inverse_value(self, v):
+        e = -self.exponent
+        return power_table(self.base, v, e, e)[e]
 
 
 class CompositionMap(TwistMap):
@@ -374,15 +372,15 @@ class CompositionMap(TwistMap):
                 claims.add(prop)
         super().__init__(domain, claims, all(m.has_inverse for m in parts))
 
-    def _apply(self, a):
+    def value(self, v):
         for m in reversed(self.parts):
-            a = m.apply(a)
-        return a
+            v = m.value(v)
+        return v
 
-    def _apply_inverse(self, a):
+    def inverse_value(self, v):
         for m in self.parts:
-            a = m.apply_inverse(a)
-        return a
+            v = m.inverse_value(v)
+        return v
 
 
 def power_apply(m: TwistMap, e: int, a: RingElement) -> RingElement:
@@ -396,17 +394,21 @@ def power_apply(m: TwistMap, e: int, a: RingElement) -> RingElement:
     return a
 
 
-def power_table(m: TwistMap, a: RingElement, lo: int, hi: int) -> dict:
-    """``{e: m^e(a)}`` for every ``e`` between ``min(lo, 0)`` and ``max(hi,
-    0)``, walking out from ``a`` with one ``apply`` or ``apply_inverse`` per
-    step instead of :func:`power_apply` from scratch for each ``e``."""
-    table = {0: a}
-    t = a
+def power_table(m: TwistMap, v, lo: int, hi: int) -> dict:
+    """``{e: m^e(v)}`` on the raw value ``v`` for every ``e`` between
+    ``min(lo, 0)`` and ``max(hi, 0)``, walking out from ``v`` with one
+    ``value`` or ``inverse_value`` per step instead of a power from scratch
+    for each ``e``. Every power of an :class:`IdentityMap` (class-exactly)
+    is ``v`` itself, with no walk."""
+    if type(m) is IdentityMap:
+        return dict.fromkeys(range(min(lo, 0), max(hi, 0) + 1), v)
+    table = {0: v}
+    t = v
     for e in range(1, hi + 1):
-        t = table[e] = m.apply(t)
-    t = a
+        t = table[e] = m.value(t)
+    t = v
     for e in range(-1, lo - 1, -1):
-        t = table[e] = m.apply_inverse(t)
+        t = table[e] = m.inverse_value(t)
     return table
 
 

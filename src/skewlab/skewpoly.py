@@ -17,16 +17,19 @@ and rendered through ``rings.labeled_terms``.
 
 Every product, here and in :mod:`skewlab.series`, runs through one kernel,
 :func:`twisted_product`. It visits the right factor's terms and, for each
-right coefficient ``s``, has the context build a twist table once, up to the
-left factor's largest exponent ``d``. For an Ore context that is one sparse
-:func:`pi_rows` pass: two map applications per nonzero ``pi_i^m(s)`` with
+right coefficient ``s``, has the context build a twist table of raw values
+once, up to the left factor's largest exponent ``d``, through the maps'
+value hooks. For an Ore context that is :func:`pi_table`: Leibniz rows when
+sigma is exactly the identity, at most ``d + 1`` delta applications in all
+(two for ``X^n*Y`` in the Weyl algebra, whatever ``n``), or else one sparse
+:func:`pi_rows` pass, two map applications per nonzero ``pi_i^m(s)`` with
 ``m < d``, or just ``d`` sigma applications when delta is zero. For a
 Laurent context it is one walk of sigma powers, one application or inverse
-application per step. Each table entry ``t`` for a left term ``r`` adds
-the pair ``(r, t)`` to its output exponent, and each output exponent's
-products are summed by one ``dot_values`` call of the coefficient ring, so
-the kernel itself does no per-pair coefficient arithmetic. Nothing is
-recomputed per term pair.
+application per step, none for an identity sigma. Each table entry ``t``
+for a left term ``r`` adds the pair ``(r, t)`` to its output exponent, and
+each output exponent's products are summed by one ``dot_values`` call of
+the coefficient ring, so the kernel itself does no per-pair coefficient
+arithmetic. Nothing is recomputed per term pair.
 
 Two shapes of product, and only these two, need neither a twist table nor
 a ring product. Expression leaves such as ``c*X^e``, ``c*X1^a*X2^b`` and
@@ -58,6 +61,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from math import comb
 from operator import add
 from random import Random
 
@@ -65,6 +69,7 @@ from .maps import (
     ADDITIVE,
     ANNIHILATES_ONE,
     RESPECTS_ONE,
+    IdentityMap,
     NoInverse,
     TwistMap,
     power_apply,
@@ -118,17 +123,11 @@ class OreContext:
         if not self.delta.apply(one(self.ring)).is_zero():
             raise ValueError("delta(1) != 0")
 
-    def twists(self, s: RingElement, n: int, exponents) -> dict:
+    def twists(self, s, n: int, exponents) -> dict:
         """``{m: [(i + n, pi_i^m(s)), ...]}`` for each left exponent ``m``,
-        nonzero entries only, from one :func:`pi_rows` pass."""
-        wanted = set(exponents)
-        top = max(wanted)
-        table = {}
-        for m, row in enumerate(pi_rows(self, s)):
-            if m in wanted:
-                table[m] = [(i + n, v) for i, v in row.items()]
-            if m == top:
-                return table
+        raw values of the nonzero entries, from one :func:`pi_table`."""
+        rows = pi_table(self, s, exponents)
+        return {m: [(i + n, v) for i, v in rows[m].items()] for m in exponents}
 
 
 def _check_unit(ring: RingDescriptor, sigma: TwistMap) -> None:
@@ -183,8 +182,9 @@ class LaurentContext:
         _check_unit(self.ring, self.sigma)
         _check_round_trip(self.ring, self.sigma)
 
-    def twists(self, s: RingElement, n: int, exponents) -> dict:
-        """``{m: [(m + n, sigma^m(s))]}`` from one walk of sigma powers."""
+    def twists(self, s, n: int, exponents) -> dict:
+        """``{m: [(m + n, sigma^m(s))]}`` on raw values, from one walk of
+        sigma powers."""
         powers = power_table(self.sigma, s, min(exponents), max(exponents))
         return {m: [(m + n, powers[m])] for m in exponents}
 
@@ -209,16 +209,16 @@ class IteratedLaurentContext:
             _check_unit(self.ring, s)
         _check_commuting(self.ring, self.sigmas)
 
-    def twists(self, s: RingElement, n: tuple, exponents) -> dict:
-        """``{u: [(u + n, sigma_1^(u_1) o ... o sigma_k^(u_k) (s))]}`` with
-        exponent vectors added entrywise."""
+    def twists(self, s, n: tuple, exponents) -> dict:
+        """``{u: [(u + n, sigma_1^(u_1) o ... o sigma_k^(u_k) (s))]}`` on raw
+        values, with exponent vectors added entrywise."""
         values = _compose_powers(self.sigmas, s, exponents)
         return {
             u: [(tuple(a + b for a, b in zip(u, n)), values[u])] for u in exponents
         }
 
 
-def _compose_powers(sigmas, s: RingElement, vectors) -> dict:
+def _compose_powers(sigmas, s, vectors) -> dict:
     """``{u: sigma_1^(u_1)(... sigma_k^(u_k)(s))}`` for every vector ``u``, the
     last variable's map acting first. Pairwise commutation makes the order
     immaterial; each variable's powers are walked once per distinct tail."""
@@ -234,8 +234,8 @@ def _compose_powers(sigmas, s: RingElement, vectors) -> dict:
     return out
 
 
-def pi_rows(ctx: OreContext, s: RingElement):
-    """Yield the sparse rows ``{i: pi_i^m(s)}`` for ``m = 0, 1, 2, ...``.
+def pi_rows(ctx: OreContext, s):
+    """Yield the sparse rows ``{i: pi_i^m(s)}`` of raw values, m = 0, 1, ...
 
     Peeling the first letter of each sigma/delta word gives
     ``pi_i^m = sigma . pi_(i-1)^(m-1) + delta . pi_i^(m-1)``, so each row
@@ -244,31 +244,52 @@ def pi_rows(ctx: OreContext, s: RingElement):
     When delta is the zero map each row is the single entry ``{m:
     sigma^m(s)}`` and costs one ``sigma`` application.
     """
-    sigma, delta = ctx.sigma, ctx.delta
-    has_delta = delta.kind != "zero"
-    row = {} if s.is_zero() else {0: s}
+    sigma, delta = ctx.sigma.value, ctx.delta.value
+    has_delta = ctx.delta.kind != "zero"
+    add, is_zero = ctx.ring.add_values, ctx.ring.is_zero_value
+    row = {} if is_zero(s) else {0: s}
     while True:
         yield row
-        nxt: dict[int, RingElement] = {}
+        nxt = {}
         for i, v in row.items():
-            t = sigma.apply(v)
-            nxt[i + 1] = nxt[i + 1] + t if i + 1 in nxt else t
+            t = sigma(v)
+            nxt[i + 1] = add(nxt[i + 1], t) if i + 1 in nxt else t
             if has_delta:
-                t = delta.apply(v)
-                nxt[i] = nxt[i] + t if i in nxt else t
-        row = {i: v for i, v in nxt.items() if not v.is_zero()}
+                t = delta(v)
+                nxt[i] = add(nxt[i], t) if i in nxt else t
+        row = {i: v for i, v in nxt.items() if not is_zero(v)}
+
+
+def pi_table(ctx: OreContext, s, wanted) -> dict:
+    """``{m: {i: pi_i^m(s)}}``, nonzero raw values, for each ``m`` in ``wanted``.
+
+    When sigma is exactly :class:`IdentityMap` (a wrapped one is not), each
+    word of ``pi_i^m`` is ``delta^(m-i)``, so ``pi_i^m(s) = C(m, i)
+    delta^(m-i)(s)``: the Leibniz rule, which needs only an additive delta,
+    not associativity. Each wanted row is built from ``delta^k(s)``, taken
+    until it is zero or ``k > max(wanted)``. Other sigmas use :func:`pi_rows`.
+    """
+    wanted, top = set(wanted), max(wanted)
+    if type(ctx.sigma) is not IdentityMap:
+        rows = enumerate(islice(pi_rows(ctx, s), top + 1))
+        return {m: row for m, row in rows if m in wanted}
+    powers, delta, ring = [], ctx.delta.value, ctx.ring
+    while len(powers) <= top and not ring.is_zero_value(s):
+        powers.append(s)
+        s = delta(s)
+    scale = ring.scale_value
+    return {m: {m - k: scale(v, comb(m, k)) if k else v
+                for k, v in enumerate(powers[: m + 1])} for m in wanted}
 
 
 def pi_row(ctx: OreContext, m: int, s: RingElement) -> dict[int, RingElement]:
-    """The nonzero values ``{i: pi_i^m(s)}`` of row ``m``.
-
-    Costs the ``m`` sparse row steps of :func:`pi_rows`; products never call
-    it, since they take every row they need from a single pass per right
-    coefficient.
-    """
+    """The nonzero values ``{i: pi_i^m(s)}`` of row ``m``, from
+    :func:`pi_table`; products never call it, since they take every row
+    they need from a single table per right coefficient."""
     if m < 0:
         raise ValueError("m must be a natural number")
-    return next(islice(pi_rows(ctx, s), m, None))
+    row = pi_table(ctx, s.value, [m])[m]
+    return {i: RingElement(ctx.ring, v) for i, v in row.items()}
 
 
 def pi(ctx: OreContext, m: int, i: int, s: RingElement) -> RingElement:
@@ -334,10 +355,10 @@ def twisted_product(ctx, left, right, limit=None) -> tuple:
     for n, s in right:
         live = left if limit is None else [(m, r) for m, r in left if m + n < limit]
         if live:
-            table = ctx.twists(s, n, [m for m, _ in live])
+            table = ctx.twists(s.value, n, [m for m, _ in live])
             for m, r in live:
                 for e, t in table[m]:
-                    groups[e].append((r.value, t.value))
+                    groups[e].append((r.value, t))
     dot = ring.dot_values
     terms = [(e, RingElement(ring, dot(groups[e]))) for e in sorted(groups)]
     return tuple((e, c) for e, c in terms if c)

@@ -136,6 +136,17 @@ def test_check_suites_pass(capsys, cfg):
         assert "all checks passed" in out
 
 
+def test_weyl_nucleus_check_at_a_high_power(capsys):
+    # With sigma the identity, each Leibniz row costs a few delta
+    # applications whatever the power of X, so X^100000 is cheap to check.
+    config = str(CONFIGS / "weyl.json")
+    argv = ["check", "nucleus", "--config", config, "--n", "100000", "--trials", "20"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert "ok   nucleus:X^100000: no violation found in 20 trials" in out
+    assert "all checks passed" in out
+
+
 def test_check_division_and_series(capsys, cfg):
     code, out, _ = run(
         capsys,
@@ -409,6 +420,18 @@ def test_matrix_literals_over_complex_entries(capsys, cfg):
     assert (code, out, err) == (0, "[[1/2 + 4/3*i, 3/2 + 3*i], [-2/3, 0]]*X\n", "")
     code, out, err = run(capsys, ["eval", "--config", config, "[[i, 0], [0, i]]*X + i"])
     assert (code, out, err) == (2, "", "error: unknown constant 'i' (at position 21)\n")
+
+
+def test_matrix_literal_entries_name_no_indeterminate(capsys, cfg):
+    # Entries are base-ring values, so X inside a literal is refused at its
+    # position, like any other name the base ring does not know.
+    config = cfg({"ring": {"matrix": {"n": 3}}, "sigma": {"kind": "transpose"},
+                  "structure": "ore"})
+    for name in ("X", "Y"):
+        expression = f"[[1, 0, 0], [0, {name}, 0], [0, 0, 1]]*X"
+        code, out, err = run(capsys, ["eval", "--config", config, expression])
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown constant '{name}' (at position 16)\n"
 
 
 # Numbers end in a blank, so no run of digits makes a large exponent and the

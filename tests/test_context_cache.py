@@ -20,7 +20,7 @@ from skewlab.maps import (
     SigmaQComplex,
     TwistMap,
 )
-from skewlab.rings import COMPLEX_Q, SEDENIONS_Q, Poly2, element, random_element
+from skewlab.rings import COMPLEX_Q, SEDENIONS_Q, Poly2, random_element
 from skewlab.skewpoly import (
     ContextMismatch,
     IteratedLaurentContext,
@@ -40,17 +40,17 @@ def empty_caches():
 class BrokenInverse(ConjugationMap):
     """Conjugation that bundles the identity as its inverse."""
 
-    def _apply_inverse(self, a):
-        return a
+    def inverse_value(self, v):
+        return v
 
 
 class SwapVariables(IdentityMap):
     """Claims what the identity claims, but swaps the two variables."""
 
-    def _apply(self, a):
-        return element(self.domain, [((b, y), c) for (y, b), c in a.value])
+    def value(self, v):
+        return self.domain.canon([((b, y), c) for (y, b), c in v])
 
-    _apply_inverse = _apply
+    inverse_value = value
 
 
 class Tagged(TwistMap):

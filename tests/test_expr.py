@@ -430,6 +430,7 @@ _ORE = ExprProfile("ore", P1)
 _LAURENT = ExprProfile("laurent", COMPLEX_Q)
 _SERIES = ExprProfile("power_series", RATIONALS)
 _MATRIX = ExprProfile("element", Matrix(2))
+_MATRIX_ORE = ExprProfile("ore", Matrix(3))
 
 
 @pytest.mark.parametrize(
@@ -449,6 +450,7 @@ _MATRIX = ExprProfile("element", Matrix(2))
         (_MATRIX, "[[1, 0], [0, 1]", "expected ']', found 'end'", 15),
         (_MATRIX, "[1]", "expected '[', found '1'", 1),
         (_MATRIX, "[[1, 0] [0, 1]]", "expected ']', found '['", 8),
+        (_MATRIX_ORE, "[[1, 0, 0], [0, X, 0], [0, 0, 1]]*X", "unknown constant 'X'", 16),
         (_ORE, "(" * 101 + "Y" + ")" * 101, "expression nests deeper than 100 levels", 100),
         (_ORE, "1 + " + "-" * 101 + "Y", "expression nests deeper than 100 levels", 104),
         (_ORE, "1 2", "unexpected '2'", 2),

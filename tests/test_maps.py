@@ -4,6 +4,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewlab.maps import (
     CoefficientDoubler,
@@ -20,6 +22,7 @@ from skewlab.maps import (
     TwistMap,
     ZeroMap,
     power_apply,
+    power_table,
     verify_additive,
     verify_claims,
     verify_multiplicative,
@@ -31,9 +34,11 @@ from skewlab.rings import (
     OCTONIONS_Q,
     QUATERNIONS_Q,
     RATIONALS,
+    CayleyDickson,
     Matrix,
     Poly1,
     Poly2,
+    RingElement,
     element,
     monomial_element,
     monomial_ideal_member,
@@ -242,3 +247,88 @@ def test_power_apply_helper():
     assert power_apply(s, 3, a) == element(COMPLEX_Q, (1, 8))
     assert power_apply(s, -2, a) == element(COMPLEX_Q, (1, Fraction(1, 4)))
     assert power_apply(s, 0, a) == a
+
+
+# --- value hooks ---------------------------------------------------------------
+
+_SHIPPED_MAPS = [
+    IdentityMap(P1),
+    IdentityMap(Matrix(2)),
+    ZeroMap(QUATERNIONS_Q),
+    ZeroMap(P2),
+    SigmaQComplex(2),
+    SigmaQComplex(Fraction(-3, 5)),
+    ConjugationMap(COMPLEX_Q),
+    ConjugationMap(OCTONIONS_Q),
+    ConjugationMap(CayleyDickson(2, P1)),
+    QuantumTorusSigma(3),
+    QuantumTorusSigma(Fraction(-1, 2)),
+    FormalDerivative(P1),
+    CoefficientDoubler(P1),
+    CounterexampleSigma(P2),
+    TransposeMap(Matrix(1)),
+    TransposeMap(Matrix(3)),
+    TransposeMap(Matrix(2, COMPLEX_Q)),
+]
+_VALUE_HOOK_MAPS = _SHIPPED_MAPS + [
+    PowerMap(SigmaQComplex(2), 3),
+    PowerMap(SigmaQComplex(2), -2),
+    PowerMap(FormalDerivative(P1), 2),
+    PowerMap(CounterexampleSigma(P2), -3),
+    PowerMap(IdentityMap(P1), -4),
+    PowerMap(ZeroMap(P1), 0),
+    CompositionMap([ConjugationMap(COMPLEX_Q), SigmaQComplex(3)]),
+    CompositionMap([CoefficientDoubler(P1), QuantumTorusSigma(2)]),
+    CompositionMap([QuantumTorusSigma(2), FormalDerivative(P1)]),
+    CompositionMap([PowerMap(CounterexampleSigma(P2), 2), IdentityMap(P2)]),
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(m=st.sampled_from(_VALUE_HOOK_MAPS), seed=st.integers(0, 2**32))
+def test_value_hooks_match_apply_and_return_canonical_values(m, seed):
+    d = m.domain
+    v = d.sample_value(Random(seed))
+    image = m.value(v)
+    assert image == m.apply(RingElement(d, v)).value
+    assert d.canon(image) == image
+    if m.has_inverse:
+        preimage = m.inverse_value(v)
+        assert preimage == m.apply_inverse(RingElement(d, v)).value
+        assert d.canon(preimage) == preimage
+        assert m.inverse_value(image) == v
+
+
+def test_every_shipped_map_defines_its_value_hooks():
+    # The products call value and inverse_value; a shipped map that left
+    # them to the default would wrap every application in a RingElement.
+    for m in _SHIPPED_MAPS:
+        assert "value" in vars(type(m)), type(m).__name__
+        if m.has_inverse:
+            assert "inverse_value" in vars(type(m)), type(m).__name__
+
+
+def test_power_tables_walk_values_and_repeat_the_identity():
+    w = element(COMPLEX_Q, (1, Fraction(3, 4)))
+    s = SigmaQComplex(2)
+    assert power_table(s, w.value, -2, 3) == {
+        e: power_apply(s, e, w).value for e in range(-2, 4)
+    }
+    v = element(P1, [(0, 1), (2, 3)]).value
+    assert power_table(IdentityMap(P1), v, -3, 2) == {e: v for e in range(-3, 3)}
+    assert power_table(IdentityMap(P1), v, 4, 5) == {e: v for e in range(6)}
+
+
+def test_a_map_without_hooks_or_apply_refuses_cleanly():
+    # The default hooks and the default _apply pair wrap each other; a map
+    # that overrides neither side must raise, not recurse.
+    class Bare(TwistMap):
+        kind = "bare"
+
+    bare = Bare(P1, set(), True)
+    with pytest.raises(NotImplementedError, match="bare defines neither"):
+        bare.apply(one(P1))
+    with pytest.raises(NotImplementedError):
+        bare.value(one(P1).value)
+    with pytest.raises(NoInverse, match="bare carries no inverse"):
+        bare.apply_inverse(one(P1))

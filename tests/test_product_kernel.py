@@ -11,6 +11,9 @@ with the kernel:
 
 The work-count tests wrap sigma and delta in a counting map and bound the
 number of map applications a product may spend; they never look at time.
+With sigma exactly ``IdentityMap`` the Ore table is built from Leibniz rows,
+checked against the words and against the recurrence that a wrapped
+identity takes.
 A constant left factor that is not rational takes the general path, whose
 ``pi_0^0`` row and ``sigma^0`` entry are the identity; its products are
 checked against the same references. A unit right factor ``X^n`` (a shift)
@@ -20,6 +23,7 @@ no ring product; they are checked on every kind of coefficient ring, and
 call.
 """
 
+from fractions import Fraction
 from pathlib import Path
 from random import Random
 
@@ -30,9 +34,11 @@ from hypothesis import strategies as st
 from skewlab.config import load_session
 from skewlab.maps import (
     CoefficientDoubler,
+    CompositionMap,
     ConjugationMap,
     FormalDerivative,
     IdentityMap,
+    PowerMap,
     QuantumTorusSigma,
     SigmaQComplex,
     TransposeMap,
@@ -74,6 +80,8 @@ from skewlab.skewpoly import (
     MultiLaurentPoly,
     OreContext,
     OrePoly,
+    pi_row,
+    pi_table,
     twisted_product,
 )
 from test_skewpoly import pi_by_words
@@ -277,6 +285,68 @@ def test_zero_delta_rows_cost_one_sigma_application():
     product = xn * OrePoly.constant(ctx, i)
     assert (sigma.calls, delta.calls) == (51, 0)
     assert product == OrePoly.monomial(ctx, -i, 51)
+
+
+# Deltas for the Leibniz rows; the last two annihilate 1 because the
+# derivative acts first in each.
+LEIBNIZ_DELTAS = (
+    FormalDerivative(P1),
+    ZeroMap(P1),
+    PowerMap(FormalDerivative(P1), 2),
+    CompositionMap([CoefficientDoubler(P1), FormalDerivative(P1)]),
+)
+
+
+def dense_poly1(rng, degree):
+    return element(P1, [(e, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                        for e in range(degree + 1)])
+
+
+def test_leibniz_rows_match_the_words():
+    # With sigma exactly the identity, pi_table builds pi_i^m(s) as
+    # C(m, i) delta^(m-i)(s); pi_by_words sums the C(m, i) words one by one.
+    rng = Random(17)
+    for delta in LEIBNIZ_DELTAS:
+        ctx = OreContext(P1, IdentityMap(P1), delta)
+        for s in (random_element(P1, rng), dense_poly1(rng, 12)):
+            for m in range(11):
+                words = {i: pi_by_words(ctx, m, i, s) for i in range(m + 1)}
+                assert pi_row(ctx, m, s) == {i: w for i, w in words.items() if w}
+
+
+def test_leibniz_rows_match_the_general_recurrence():
+    # A wrapped identity is not IdentityMap, so it takes the pi_rows
+    # recurrence: both tables and both products must agree.
+    rng = Random(18)
+    for delta in LEIBNIZ_DELTAS:
+        leibniz = OreContext(P1, IdentityMap(P1), delta)
+        general = OreContext(P1, CountingMap(IdentityMap(P1)), delta)
+        s = dense_poly1(rng, 45).value
+        assert pi_table(leibniz, s, range(41)) == pi_table(general, s, range(41))
+        assert pi_table(leibniz, s, [7, 40, 3]) == pi_table(general, s, [3, 7, 40])
+        for _ in range(3):
+            left = [(rng.randint(0, 40), dense_poly1(rng, rng.randint(0, 8)))
+                    for _ in range(3)]
+            right = [(rng.randint(0, 5), dense_poly1(rng, 6)) for _ in range(2)]
+
+            def product(ctx):
+                p, q = OrePoly.from_terms(ctx, left), OrePoly.from_terms(ctx, right)
+                return (p * q).terms
+
+            assert product(leibniz) == product(general)
+
+
+def test_weyl_high_power_times_variable_makes_at_most_three_delta_applications():
+    # delta^k(Y) is Y, 1, 0: the table stops at the first zero, whatever n is.
+    delta = CountingMap(FormalDerivative(P1))
+    ctx = OreContext(P1, IdentityMap(P1), delta)
+    n = 100000
+    y = monomial_element(P1, 1)
+    delta.calls = 0
+    product = OrePoly.x(ctx, n) * OrePoly.constant(ctx, y)
+    assert delta.calls <= 3
+    assert product == OrePoly.from_terms(ctx, [(n - 1, scalar(P1, n)), (n, y)])
+    assert str(product) == "100000*X^99999 + Y*X^100000"
 
 
 def test_laurent_product_walks_sigma_powers_once_per_right_coefficient():
