@@ -64,6 +64,15 @@ class ConfigError(ValueError):
     """Malformed or inconsistent session configuration."""
 
 
+def _integer(record: dict, key: str, kind: str) -> int:
+    """The JSON integer ``record[key]``: ``2.7``, ``true`` and ``"1"`` are
+    refused, not rounded or converted."""
+    value = record[key]
+    if type(value) is not int:
+        raise ConfigError(f"{kind} needs an integer {key!r}, got {value!r}")
+    return value
+
+
 def parse_descriptor(obj) -> RingDescriptor:
     if obj == "rationals":
         return Rationals()
@@ -76,7 +85,7 @@ def parse_descriptor(obj) -> RingDescriptor:
             return Rationals()
         if kind == "cayley_dickson":
             base = parse_descriptor(params.get("base", "rationals"))
-            return CayleyDickson(int(params["level"]), base)
+            return CayleyDickson(_integer(params, "level", kind), base)
         if kind == "jordan_plus":
             return JordanPlus(parse_descriptor(params["base"]))
         if kind == "poly1":
@@ -85,7 +94,7 @@ def parse_descriptor(obj) -> RingDescriptor:
             return Poly2(tuple(params.get("variables", ("Y", "Z"))))
         if kind == "matrix":
             base = params.get("base", "rationals")
-            return Matrix(int(params["n"]), parse_descriptor(base))
+            return Matrix(_integer(params, "n", kind), parse_descriptor(base))
     except KeyError as exc:
         raise ConfigError(f"ring record {kind!r} is missing {exc}") from None
     except UnsupportedDescriptor as exc:
@@ -117,7 +126,7 @@ def parse_map(obj, ring: RingDescriptor) -> TwistMap:
         elif kind == "transpose":
             m = TransposeMap(ring)
         elif kind == "power":
-            m = PowerMap(parse_map(obj["base"], ring), int(obj["e"]))
+            m = PowerMap(parse_map(obj["base"], ring), _integer(obj, "e", kind))
         elif kind == "composition":
             m = CompositionMap([parse_map(rec, ring) for rec in obj["maps"]])
         else:

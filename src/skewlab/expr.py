@@ -613,8 +613,8 @@ def _element_leaf(ring: RingDescriptor):
             if len(node.rows) != ring.n or any(len(r) != ring.n for r in node.rows):
                 raise EvalError(f"matrix literal must be {ring.n}x{ring.n}")
             entry_leaf = _element_leaf(ring.base)
-            rows = [[_walk(x, entry_leaf).value for x in row] for row in node.rows]
-            return element(ring, rows)
+            entries = [_walk(x, entry_leaf).value for row in node.rows for x in row]
+            return element(ring, entries)
         if isinstance(node, OTail):
             raise EvalError("the O(X^p) marker has no meaning for plain elements")
         raise TypeError(f"not an AST node: {node!r}")

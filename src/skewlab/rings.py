@@ -5,24 +5,26 @@ elements are plain immutable Python data, canonicalized at construction so
 that structural equality coincides with mathematical equality:
 
 * ``Rationals``      -- ``fractions.Fraction`` (always reduced, denominator > 0)
-* ``CayleyDickson``  -- over the rationals, the pair ``(numerators, den)``: a
-  tuple of ``2**level`` integers over one positive denominator with
-  ``gcd(*numerators, den) == 1``, the layout of FLINT's ``fmpq_poly``; over
-  any other base, the flat tuple of the ``2**level`` base coordinates. Either
-  way the coordinates are in doubling order, the ``lo`` half before the
-  ``hi`` half at every level; level 0 is the base, 1 the complexes, 2 the
-  quaternions, 3 the octonions, 4 the sedenions. :meth:`CayleyDickson.canon`
-  builds a value from its coordinates and :meth:`CayleyDickson.flat_values`
-  reads them back as base values (``Fraction`` over the rationals)
+* ``CayleyDickson``  -- ``2**level`` coordinates (see below)
 * ``JordanPlus``     -- the wrapped base value itself (the product changes,
   the carrier does not)
 * ``Poly1``          -- sorted tuple of ``(exponent, Fraction)``, no zero terms
 * ``Poly2``          -- the same with ``(e1, e2)`` exponent pairs
-* ``Matrix``         -- over the rationals, the pair ``(numerators, den)`` of
-  the ``n*n`` entries in row-major order, in the Cayley-Dickson layout; over
-  any other base, the tuple of row tuples of base values.
-  :meth:`Matrix.canon` builds a value from its rows and :meth:`Matrix.rows`
-  reads them back (``Fraction`` entries over the rationals)
+* ``Matrix``         -- ``n*n`` coordinates (see below)
+
+``CayleyDickson`` and ``Matrix`` share one coordinate layout and all the
+arithmetic that does not depend on the product (:class:`_Coordinates`); each
+adds only its product table and what is its own. A value is ``dim``
+coordinates over the base: over the rationals the pair ``(numerators, den)``
+of ``dim`` integers over one positive denominator with ``gcd(*numerators,
+den) == 1``, the layout of FLINT's ``fmpq_poly``; over any other base the
+flat tuple of ``dim`` base values. ``canon`` builds a value from its
+coordinates and ``flat_values`` reads them back as base values (``Fraction``
+over the rationals). A Cayley-Dickson value lists its coordinates in doubling
+order, the ``lo`` half before the ``hi`` half at every level; level 0 is the
+base, 1 the complexes, 2 the quaternions, 3 the octonions, 4 the sedenions. A
+matrix lists its entries in row-major order, and :meth:`Matrix.rows` reads
+them back by rows.
 
 Sparse term lists are one carrier from here up: ``Poly1`` and ``Poly2`` (one
 ``_PolyRing`` implementation; only the exponent differs) and the twisted
@@ -31,10 +33,12 @@ gives all of them their form, and one renderer, :func:`labeled_terms`, writes
 every "coefficient times label" term: a Cayley-Dickson unit, a monomial, a
 power of X.
 
-The Cayley-Dickson product is the doubling rule
-``(a, b) * (c, d) = (a*c - conj(d)*b, d*a + b*conj(c))`` with conjugation
-``conj((a, b)) = (conj(a), -b)`` and identity conjugation at level 0, read
-from a sign table ``e_i * e_j = +-e_(i XOR j)`` built once per level.
+Both products are read from a table of ``e_i * e_j = sign * e_k`` on the
+unit coordinates, built once per level or size. The Cayley-Dickson table is
+the doubling rule ``(a, b) * (c, d) = (a*c - conj(d)*b, d*a + b*conj(c))``
+with conjugation ``conj((a, b)) = (conj(a), -b)`` and identity conjugation at
+level 0, so ``e_i * e_j = +-e_(i XOR j)``. The matrix table takes entry
+``(r, c)`` of a product as row ``r`` times column ``c``.
 
 A ring defines its product once, as a fused sum of products,
 :meth:`RingDescriptor.dot_values`: the canonical value of ``sum(a*b for a, b
@@ -61,10 +65,11 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import compress
 from math import gcd, lcm
 from random import Random
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class DescriptorMismatch(ValueError):
@@ -353,16 +358,31 @@ def _basis_label(level: int, index: int) -> str:
     return f"e{index}"
 
 
-@lru_cache(maxsize=None)
-def _sign_table(level: int) -> tuple:
-    """The doubling product as a table of ``e_i * e_j = sign * e_(i ^ j)``.
+class _Table(NamedTuple):
+    """A product on the unit coordinates ``e_0 .. e_(dim-1)`` of a
+    :class:`_Coordinates` ring, built by :func:`_product_table`."""
 
-    Row ``k`` holds three tuples indexed by ``i``: ``j = i ^ k``, the sign, and
-    whether the base factors multiply as ``y_j*x_i`` (this matters only over a
-    non-commutative base). Coordinate ``k`` of ``x*y`` is then the sum of
-    ``sign * x_i*y_j`` over the row. Built one level at a time from the
-    doubling rule, in which ``conj`` keeps coordinate 0 and negates the rest.
-    """
+    terms: tuple  # row k: each (i, j, sign, swap) with e_i * e_j = sign * e_k
+    rows: tuple  # row k for _vec_bilinear: the (i, j) of sign +1, then of -1
+
+
+def _product_table(terms: tuple) -> _Table:
+    """The table with these terms. In a term ``(i, j, sign, swap)``,
+    ``swap`` says that the base factors multiply as ``y_j*x_i``, which
+    matters only over a non-commutative base; over the rationals only the
+    signs are kept."""
+    rows = tuple(
+        tuple(tuple((i, j) for i, j, s, _ in row if s == sign) for sign in (1, -1))
+        for row in terms
+    )
+    return _Table(terms, rows)
+
+
+@lru_cache(maxsize=None)
+def _sign_table(level: int) -> _Table:
+    """The doubling product as the table ``e_i * e_j = sign * e_(i ^ j)``,
+    built one level at a time from the doubling rule, in which ``conj`` keeps
+    coordinate 0 and negates the rest."""
     units = {(0, 0): (1, False)}
     for lv in range(level):
         h = 1 << lv
@@ -374,32 +394,119 @@ def _sign_table(level: int) -> tuple:
             doubled[p + h, q] = (s if q == 0 else -s, w)  # b*conj(c)
         units = doubled
     n = 1 << level
-    rows = []
-    for k in range(n):
-        js = tuple(i ^ k for i in range(n))
-        signs, swaps = zip(*(units[i, j] for i, j in enumerate(js)))
-        rows.append((js, signs, swaps))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _signed_rows(level: int) -> tuple:
-    """The sign table over a commutative base: row ``k`` as the ``(i, j)``
-    pairs with ``e_i * e_j = +e_k``, then those with ``-e_k``."""
-    return tuple(
-        tuple(
-            tuple((i, j) for i, (j, s) in enumerate(zip(js, signs)) if s == sign)
-            for sign in (1, -1)
-        )
-        for js, signs, _ in _sign_table(level)
+    return _product_table(
+        tuple(tuple((i, i ^ k, *units[i, i ^ k]) for i in range(n)) for k in range(n))
     )
 
 
+class _Coordinates(RingDescriptor):
+    """A ring whose values are ``dim`` coordinates over ``base``, multiplied
+    through a :class:`_Table` on the unit coordinates. Over the rationals a
+    value is one rational vector ``(numerators, den)``; over any other base it
+    is the flat tuple of base coordinates. A subclass is a frozen dataclass
+    with a ``base`` field, the 0/1 coordinates ``_unit`` of its unit, and a
+    ``_table`` cached on its ``level`` or ``n``, which only a product
+    builds; it adds only what these do not give."""
+
+    @cached_property
+    def dim(self) -> int:
+        return len(self._unit)
+
+    @cached_property
+    def _values(self) -> tuple:
+        """The zero and the unit, built from the unit's 0/1 coordinates."""
+        unit = self._unit
+        if isinstance(self.base, Rationals):
+            return ((0,) * len(unit), 1), (unit, 1)
+        z, o = self.base.zero_value(), self.base.one_value()
+        return (z,) * len(unit), tuple([o if u else z for u in unit])
+
+    def zero_value(self):
+        return self._values[0]
+
+    def one_value(self):
+        return self._values[1]
+
+    def canon(self, raw):
+        """The value with the ``dim`` base coordinates ``raw``; over the
+        rationals ``raw`` may also be a value, which is returned canonical."""
+        over_q = isinstance(self.base, Rationals)
+        if over_q and isinstance(raw, tuple) and len(raw) == 2:
+            if isinstance(raw[0], tuple):  # no coordinate is a tuple
+                raw = _vec_to_rationals(raw)
+        if not isinstance(raw, (tuple, list)) or len(raw) != self.dim:
+            raise ValueError(f"a value of {self} has {self.dim} coordinates")
+        if over_q:
+            return _vec_from_rationals(raw)
+        return tuple(map(self.base.canon, raw))
+
+    def flat_values(self, a) -> tuple:
+        """The ``dim`` base coordinates of ``a``; ``Fraction``s over the
+        rationals."""
+        if isinstance(self.base, Rationals):
+            return _vec_to_rationals(a)
+        return a
+
+    def add_values(self, a, b):
+        if isinstance(self.base, Rationals):
+            return _vec_add(a, b)
+        return tuple(map(self.base.add_values, a, b))
+
+    def neg_value(self, a):
+        if isinstance(self.base, Rationals):
+            return _vec_neg(a)
+        return tuple(map(self.base.neg_value, a))
+
+    def scale_value(self, a, q):
+        if isinstance(self.base, Rationals):
+            return _vec_scale(a, q)
+        return tuple([self.base.scale_value(c, q) for c in a])
+
+    def dot_values(self, pairs):
+        base = self.base
+        if isinstance(base, Rationals):
+            return _vec_bilinear(self._table.rows, pairs)
+        # Coordinate k is one base dot over row k of every pair: a negative
+        # sign negates the left factor's coordinate, a swapped term reverses
+        # the pair.
+        neg, out = base.neg_value, []
+        for row in self._table.terms:
+            dots = []
+            for x, y in pairs:
+                for i, j, s, w in row:
+                    a = x[i] if s > 0 else neg(x[i])
+                    dots.append((y[j], a) if w else (a, y[j]))
+            out.append(base.dot_values(dots))
+        return tuple(out)
+
+    def scalar_of(self, a):
+        # q*1 has q on the unit's coordinates and zero elsewhere, and the
+        # unit's first coordinate is 1.
+        base, unit = self.base, self._unit
+        if isinstance(base, Rationals):
+            nums, den = a
+            q = nums[0]
+            if q and nums.count(0) == unit.count(0) and {*compress(nums, unit)} == {q}:
+                return Fraction(q, den)
+            return None if any(nums) else Fraction(0)
+        q, z = a[0], base.zero_value()
+        if a != tuple([q if u else z for u in unit]):
+            return None
+        return base.scalar_of(q)
+
+    def sample_value(self, rng):
+        if isinstance(self.base, Rationals):
+            # The draws of _sample_fraction, coordinate by coordinate.
+            return _vec_from_ratios(
+                [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(self.dim)]
+            )
+        return tuple([self.base.sample_value(rng) for _ in range(self.dim)])
+
+
 @dataclass(frozen=True)
-class CayleyDickson(RingDescriptor):
-    """Doubling algebra over ``base``. Over the rationals a value is one
-    rational vector ``(numerators, den)``; over any other base it is the flat
-    tuple of base coordinates."""
+class CayleyDickson(_Coordinates):
+    """Doubling algebra over ``base``: ``2**level`` coordinates in doubling
+    order, multiplied through the sign table of its level."""
 
     level: int
     base: RingDescriptor = RATIONALS
@@ -421,6 +528,14 @@ class CayleyDickson(RingDescriptor):
                 f"Cayley-Dickson level must be in 0..4, got {self.level}"
             )
 
+    @cached_property
+    def _unit(self) -> tuple:
+        return (1,) + (0,) * ((1 << self.level) - 1)
+
+    @cached_property
+    def _table(self) -> _Table:
+        return _sign_table(self.level)
+
     @property
     def is_associative(self) -> bool:
         return self.level <= 2 and self.base.is_associative and (
@@ -432,40 +547,6 @@ class CayleyDickson(RingDescriptor):
         if self.level == 0:
             return self.base.is_commutative
         return self.level == 1 and self.base.is_commutative
-
-    def canon(self, raw):
-        """The value with the ``2**level`` base coordinates ``raw``; over the
-        rationals ``raw`` may also be a value, which is returned canonical."""
-        over_q = isinstance(self.base, Rationals)
-        if over_q and isinstance(raw, tuple) and len(raw) == 2:
-            if isinstance(raw[0], tuple):  # no coordinate is a tuple
-                raw = _vec_to_rationals(raw)
-        dim = 1 << self.level
-        if not isinstance(raw, (tuple, list)) or len(raw) != dim:
-            raise ValueError(f"a level-{self.level} value has {dim} coordinates")
-        if over_q:
-            return _vec_from_rationals(raw)
-        return tuple(map(self.base.canon, raw))
-
-    def zero_value(self):
-        if isinstance(self.base, Rationals):
-            return (0,) * (1 << self.level), 1
-        return (self.base.zero_value(),) * (1 << self.level)
-
-    def one_value(self):
-        if isinstance(self.base, Rationals):
-            return (1,) + (0,) * ((1 << self.level) - 1), 1
-        return (self.base.one_value(),) + self.zero_value()[1:]
-
-    def add_values(self, a, b):
-        if isinstance(self.base, Rationals):
-            return _vec_add(a, b)
-        return tuple(map(self.base.add_values, a, b))
-
-    def neg_value(self, a):
-        if isinstance(self.base, Rationals):
-            return _vec_neg(a)
-        return tuple(map(self.base.neg_value, a))
 
     def conj_value(self, a):
         if isinstance(self.base, Rationals):
@@ -480,58 +561,6 @@ class CayleyDickson(RingDescriptor):
             qn, qd = q.as_integer_ratio()
             return _vec([re * qd, *[n * qn for n in im]], den * qd)
         return (a[0], *[self.base.scale_value(c, q) for c in a[1:]])
-
-    def is_zero_value(self, a):
-        if isinstance(self.base, Rationals):
-            return not any(a[0])
-        return all(map(self.base.is_zero_value, a))
-
-    def dot_values(self, pairs):
-        base = self.base
-        if isinstance(base, Rationals):
-            return _vec_bilinear(_signed_rows(self.level), pairs)
-        # Coordinate k is one base dot over row k of every pair: a negative
-        # sign takes the negated left factor, a swapped entry reverses the
-        # pair.
-        signed = [({1: x, -1: tuple(map(base.neg_value, x))}, y) for x, y in pairs]
-        out = []
-        for js, signs, swaps in _sign_table(self.level):
-            row = []
-            for xs, y in signed:
-                for i, (j, s, w) in enumerate(zip(js, signs, swaps)):
-                    a = xs[s][i]
-                    row.append((y[j], a) if w else (a, y[j]))
-            out.append(base.dot_values(row))
-        return tuple(out)
-
-    def scale_value(self, a, q):
-        if isinstance(self.base, Rationals):
-            return _vec_scale(a, q)
-        return tuple(self.base.scale_value(c, q) for c in a)
-
-    def scalar_of(self, a):
-        if isinstance(self.base, Rationals):
-            (re, *im), den = a
-            return None if any(im) else Fraction(re, den)
-        if all(map(self.base.is_zero_value, a[1:])):
-            return self.base.scalar_of(a[0])
-        return None
-
-    def sample_value(self, rng):
-        dim = 1 << self.level
-        if isinstance(self.base, Rationals):
-            # The draws of _sample_fraction, coordinate by coordinate.
-            return _vec_from_ratios(
-                [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(dim)]
-            )
-        return tuple(self.base.sample_value(rng) for _ in range(dim))
-
-    def flat_values(self, a) -> tuple:
-        """The 2**level base coordinates, in doubling order; ``Fraction``s
-        over the rationals."""
-        if isinstance(self.base, Rationals):
-            return _vec_to_rationals(a)
-        return a
 
     def render_terms(self, a):
         if isinstance(self.base, Rationals):
@@ -743,21 +772,22 @@ class Poly2(_PolyRing):
 
 
 @lru_cache(maxsize=None)
-def _matrix_rows(n: int) -> tuple:
-    """The ``n x n`` matrix product as :func:`_vec_bilinear` rows over the
-    row-major entries: entry ``(r, c)`` sums ``x[r*n+k] * y[k*n+c]``."""
-    return tuple(
-        (tuple((r * n + k, k * n + c) for k in range(n)), ())
-        for r in range(n)
-        for c in range(n)
+def _matrix_table(n: int) -> _Table:
+    """The ``n x n`` matrix product on the row-major entries: entry ``(r, c)``
+    sums ``x[r*n+k] * y[k*n+c]``."""
+    return _product_table(
+        tuple(
+            tuple((r * n + k, k * n + c, 1, False) for k in range(n))
+            for r in range(n)
+            for c in range(n)
+        )
     )
 
 
 @dataclass(frozen=True)
-class Matrix(RingDescriptor):
-    """Square matrices over ``base``. Over the rationals a value is one
-    rational vector ``(numerators, den)`` of the ``n*n`` entries in row-major
-    order; over any other base it is the tuple of row tuples of base values."""
+class Matrix(_Coordinates):
+    """Square matrices over ``base``: the ``n*n`` entries in row-major
+    order."""
 
     n: int
     base: RingDescriptor = RATIONALS
@@ -765,6 +795,14 @@ class Matrix(RingDescriptor):
     def __post_init__(self):
         if self.n < 1:
             raise UnsupportedDescriptor("matrix size must be >= 1")
+
+    @cached_property
+    def _unit(self) -> tuple:
+        return tuple([int(r == c) for r in range(self.n) for c in range(self.n)])
+
+    @cached_property
+    def _table(self) -> _Table:
+        return _matrix_table(self.n)
 
     @property
     def is_associative(self) -> bool:
@@ -774,116 +812,29 @@ class Matrix(RingDescriptor):
     def is_commutative(self) -> bool:
         return self.n == 1 and self.base.is_commutative
 
-    def canon(self, raw):
-        """The value with the rows ``raw``; over the rationals ``raw`` may
-        also be a value, which is returned canonical."""
-        over_q = isinstance(self.base, Rationals)
-        if over_q and isinstance(raw, tuple) and len(raw) == 2:
-            if isinstance(raw[1], int):  # a row is never an int
-                raw = self.rows(raw)
-        rows = tuple(raw)
-        if len(rows) != self.n:
-            raise ValueError(f"expected {self.n} rows")
-        out = []
-        for row in rows:
-            row = tuple(row)
-            if len(row) != self.n:
-                raise ValueError(f"expected {self.n} columns")
-            out.append(row if over_q else tuple(map(self.base.canon, row)))
-        if over_q:
-            return _vec_from_rationals([x for row in out for x in row])
-        return tuple(out)
-
     def rows(self, a) -> tuple:
         """The rows of ``a`` as tuples of base values (``Fraction``s over
         the rationals)."""
-        if isinstance(self.base, Rationals):
-            flat, n = _vec_to_rationals(a), self.n
-            return tuple(flat[r : r + n] for r in range(0, len(flat), n))
-        return a
-
-    def zero_value(self):
-        if isinstance(self.base, Rationals):
-            return (0,) * (self.n * self.n), 1
-        z = self.base.zero_value()
-        return tuple(tuple(z for _ in range(self.n)) for _ in range(self.n))
-
-    def one_value(self):
-        n = range(self.n)
-        if isinstance(self.base, Rationals):
-            return tuple(1 if r == c else 0 for r in n for c in n), 1
-        z, o = self.base.zero_value(), self.base.one_value()
-        return tuple(tuple(o if r == c else z for c in n) for r in n)
-
-    def add_values(self, a, b):
-        if isinstance(self.base, Rationals):
-            return _vec_add(a, b)
-        return tuple(
-            tuple(self.base.add_values(x, y) for x, y in zip(ra, rb))
-            for ra, rb in zip(a, b)
-        )
-
-    def neg_value(self, a):
-        if isinstance(self.base, Rationals):
-            return _vec_neg(a)
-        return tuple(tuple(self.base.neg_value(x) for x in row) for row in a)
-
-    def is_zero_value(self, a):
-        if isinstance(self.base, Rationals):
-            return not any(a[0])
-        return all(all(map(self.base.is_zero_value, row)) for row in a)
-
-    def dot_values(self, pairs):
-        if isinstance(self.base, Rationals):
-            return _vec_bilinear(_matrix_rows(self.n), pairs)
-        dot, n = self.base.dot_values, range(self.n)
-        return tuple(
-            tuple(dot([(a[r][k], b[k][c]) for a, b in pairs for k in n]) for c in n)
-            for r in n
-        )
-
-    def scale_value(self, a, q):
-        if isinstance(self.base, Rationals):
-            return _vec_scale(a, q)
-        return tuple(tuple(self.base.scale_value(x, q) for x in row) for row in a)
-
-    def scalar_of(self, a):
-        if isinstance(self.base, Rationals):
-            (d, *_), den = a
-            unit = self.one_value()[0]
-            return Fraction(d, den) if a[0] == tuple([d * u for u in unit]) else None
-        d, z = a[0][0], self.base.zero_value()
-        n = range(self.n)
-        if any(a[r][c] != (d if r == c else z) for r in n for c in n):
-            return None
-        return self.base.scalar_of(d)
+        flat, n = self.flat_values(a), self.n
+        return tuple(flat[r : r + n] for r in range(0, len(flat), n))
 
     def transpose_value(self, a):
-        if isinstance(self.base, Rationals):  # row r is column r
-            nums, den = a
-            return tuple([x for r in range(self.n) for x in nums[r :: self.n]]), den
-        return tuple(tuple(a[c][r] for c in range(self.n)) for r in range(self.n))
-
-    def sample_value(self, rng):
-        if isinstance(self.base, Rationals):
-            # The draws of _sample_fraction, entry by entry in row-major order.
-            return _vec_from_ratios(
-                [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(self.n**2)]
-            )
-        return tuple(
-            tuple(self.base.sample_value(rng) for _ in range(self.n))
-            for _ in range(self.n)
-        )
+        # Row r of the transpose is column r, in either layout.
+        n, over_q = self.n, isinstance(self.base, Rationals)
+        flat = a[0] if over_q else a
+        out = tuple([x for r in range(n) for x in flat[r::n]])
+        return (out, a[1]) if over_q else out
 
     def render_terms(self, a):
         if isinstance(self.base, Rationals):
-            texts = ["0"] * (self.n * self.n)
+            texts = ["0"] * self.dim
             for index, sign, text in _vec_terms(a):
                 texts[index] = "-" + text if sign < 0 else text
-            rows = [texts[r : r + self.n] for r in range(0, len(texts), self.n)]
         else:
-            rows = [[self.base.render_value(x) for x in row] for row in a]
-        return ((1, "[" + ", ".join(f"[{', '.join(row)}]" for row in rows) + "]"),)
+            texts = [self.base.render_value(x) for x in a]
+        n = self.n
+        rows = [", ".join(texts[r : r + n]) for r in range(0, len(texts), n)]
+        return ((1, "[" + ", ".join(f"[{row}]" for row in rows) + "]"),)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .skewpoly import (
     nucleus_check_power,
     nucleus_falsify,
     poly_associator,
-    poly_class,
+    random_laurent_poly,
     random_ore_poly,
     random_poly,
     right_divide,
@@ -219,19 +219,11 @@ def _series_precision(session, trials, seed, options) -> SuiteReport:
         raise ConfigError("the series-precision suite needs a series structure")
     ctx = session.target.context
     precision = session.precision
-    poly_cls = poly_class(ctx)
     min_exp = 0 if session.structure == "power_series" else -3
 
-    def sample(rng):
-        terms = [
-            (rng.randint(min_exp, 4), random_element(session.ring, rng))
-            for _ in range(rng.randint(0, 3))
-        ]
-        return poly_cls.from_terms(ctx, terms)
-
     def trial(rng):
-        p = sample(rng)
-        q = sample(rng)
+        p = random_laurent_poly(ctx, rng, min_exp, 4)
+        q = random_laurent_poly(ctx, rng, min_exp, 4)
         sp = TruncatedSeries.from_poly(p, precision)
         sq = TruncatedSeries.from_poly(q, precision)
         sprod = sp * sq

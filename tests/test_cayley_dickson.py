@@ -10,9 +10,11 @@ is checked against the coordinate-wise sum of its reference products. Values
 go in through ``canon`` and come out through ``flat_values``. The work-count
 tests wrap the base ring's operations in counters; they never look at time.
 
-``Matrix`` over the rationals uses the same layout, its ``n*n`` entries in
-row-major order as one vector of numerators over one denominator; the last
-tests here pin that form, read back through ``Matrix.rows``.
+``Matrix`` shares the layout, its ``n*n`` entries in row-major order: over
+the rationals one vector of numerators over one denominator, read back
+through ``Matrix.rows``, and over any other base the flat tuple of entries.
+The last tests check its product and dot against a row-by-row reference that
+shares no code with the product table.
 """
 
 from fractions import Fraction as F
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 
 from skewlab import rings
 from skewlab.rings import (
+    COMPLEX_Q,
     OCTONIONS_Q,
     RATIONALS,
     SEDENIONS_Q,
@@ -60,13 +63,12 @@ def doubling_mul(base, x, y):
     return lo + hi
 
 
-def coordinates(base, level):
+def coordinates(base, dim):
     if base == RATIONALS:
         coord = st.builds(F, st.integers(-50, 50), st.integers(1, 60))
     else:
         coord = st.integers(0, 2**32).map(lambda k: base.sample_value(Random(k)))
-    n = 1 << level
-    return st.lists(coord, min_size=n, max_size=n).map(tuple)
+    return st.lists(coord, min_size=dim, max_size=dim).map(tuple)
 
 
 @pytest.mark.parametrize("level", range(5))
@@ -76,8 +78,8 @@ def coordinates(base, level):
 def test_flat_product_matches_doubling_rule(base_name, level, data):
     base = BASES[base_name]
     d = CayleyDickson(level, base)
-    x = data.draw(coordinates(base, level))
-    y = data.draw(coordinates(base, level))
+    x = data.draw(coordinates(base, 1 << level))
+    y = data.draw(coordinates(base, 1 << level))
     product = d.mul_values(d.canon(x), d.canon(y))
     assert d.flat_values(product) == doubling_mul(base, x, y)
 
@@ -89,7 +91,7 @@ def test_flat_product_matches_doubling_rule(base_name, level, data):
 def test_dot_matches_summed_doubling_rule(base_name, level, data):
     base = BASES[base_name]
     d = CayleyDickson(level, base)
-    pair = st.tuples(coordinates(base, level), coordinates(base, level))
+    pair = st.tuples(coordinates(base, 1 << level), coordinates(base, 1 << level))
     pairs = data.draw(st.lists(pair, max_size=4))
     expected = d.flat_values(d.zero_value())
     for x, y in pairs:
@@ -105,7 +107,7 @@ def test_values_over_rationals_are_canonical(level, data):
     # (numerators, den) with den > 0 and gcd 1: every spelling of one value
     # is the same data, so equal values hash alike.
     d = CayleyDickson(level)
-    x = data.draw(coordinates(RATIONALS, level))
+    x = data.draw(coordinates(RATIONALS, 1 << level))
     k = data.draw(st.integers(2, 30))
     value = d.canon(x)
     nums, den = value
@@ -212,15 +214,16 @@ def test_matrix_values_over_rationals_are_canonical(n, data):
     # every spelling of one matrix is the same data and hashes alike.
     d = Matrix(n)
     rows = data.draw(matrix_rows(n))
+    entries = [x for row in rows for x in row]
     k = data.draw(st.integers(2, 30))
-    value = d.canon(rows)
+    value = d.canon(entries)
     nums, den = value
     assert len(nums) == n * n and den > 0 and gcd(*nums, den) == 1
     assert d.rows(value) == rows
     spellings = [
         d.canon(value),
-        d.canon([list(row) for row in rows]),
-        d.canon([tuple(map(str, row)) for row in rows]),
+        d.canon(tuple(entries)),
+        d.canon([str(x) for x in entries]),
         d.canon((tuple(x * k for x in nums), den * k)),
         d.scale_value(d.scale_value(value, F(k)), F(1, k)),
         d.add_values(value, d.zero_value()),
@@ -231,7 +234,7 @@ def test_matrix_values_over_rationals_are_canonical(n, data):
         assert other == value and hash(other) == hash(value)
     zero = (0,) * (n * n), 1
     assert d.zero_value() == d.add_values(value, d.neg_value(value)) == zero
-    assert d.scale_value(value, F(0)) == d.canon([[0] * n] * n) == zero
+    assert d.scale_value(value, F(0)) == d.canon([0] * (n * n)) == zero
 
 
 def test_matrix_sampling_order_is_pinned():
@@ -257,3 +260,55 @@ def test_matrix_arithmetic_over_rationals_builds_no_fractions(monkeypatch):
     ]
     assert not any(map(d.is_zero_value, results))
     assert built == []
+
+
+# --- matrices over any base -----------------------------------------------------
+
+MATRIX_BASES = {"rationals": RATIONALS, "complex": COMPLEX_Q, "poly1": Poly1()}
+
+
+def row_by_row(base, n, x, y):
+    """The product of two row-major entry tuples, one entry at a time: entry
+    ``(r, c)`` folds ``x[r][k] * y[k][c]`` over ``k`` with the base's own
+    product and sum."""
+    out = []
+    for r in range(n):
+        for c in range(n):
+            acc = base.zero_value()
+            for k in range(n):
+                acc = base.add_values(acc, base.mul_values(x[r * n + k], y[k * n + c]))
+            out.append(acc)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("base_name", sorted(MATRIX_BASES))
+@SETTINGS
+@given(data=st.data())
+def test_matrix_product_and_dot_match_the_row_by_row_product(base_name, n, data):
+    base = MATRIX_BASES[base_name]
+    d = Matrix(n, base)
+    pair = st.tuples(coordinates(base, n * n), coordinates(base, n * n))
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=4))
+    x, y = pairs[0]
+    product = d.mul_values(d.canon(x), d.canon(y))
+    assert d.flat_values(product) == row_by_row(base, n, x, y)
+    expected = d.flat_values(d.zero_value())
+    for x, y in pairs:
+        expected = tuple(map(base.add_values, expected, row_by_row(base, n, x, y)))
+    dot = d.dot_values([(d.canon(x), d.canon(y)) for x, y in pairs])
+    assert d.flat_values(dot) == expected
+
+
+def test_matrix_value_over_another_base_is_the_flat_row_major_tuple():
+    p1 = Poly1()
+    y, one, zero = p1.canon({1: 1}), p1.canon({0: 1}), p1.canon({})
+    d = Matrix(2, p1)
+    value = d.canon([{1: 1}, {0: 1}, {}, {2: 2}])
+    assert value == (y, one, zero, p1.canon({2: 2}))
+    assert d.rows(value) == ((y, one), (zero, p1.canon({2: 2})))
+    assert d.transpose_value(value) == (y, zero, one, p1.canon({2: 2}))
+    assert d.one_value() == (one, zero, zero, one)
+    rng, draws = Random(0), Random(0)
+    expected = tuple(COMPLEX_Q.sample_value(draws) for _ in range(4))
+    assert Matrix(2, COMPLEX_Q).sample_value(rng) == expected

@@ -252,6 +252,11 @@ def test_usage_and_parse_errors_exit_two(capsys, cfg, tmp_path):
         ({**POWER, "precision": True}, ["series", "1"], "error: series structures"),
         (WEYL, ["eval", "(" * 3000 + "X" + ")" * 3000], "error: expression nests"),
         (WEYL, ["check", "counterexample", "--m", "0"], "error: max_generator_degree"),
+        (
+            {"ring": {"matrix": {"n": 2.5}}, "sigma": {"kind": "identity"}, "structure": "ore"},
+            ["eval", "1"],
+            "error: matrix needs an integer 'n', got 2.5",
+        ),
     ],
 )
 def test_malformed_input_exits_two_with_one_error_line(capsys, cfg, config, argv, message):

@@ -133,6 +133,37 @@ def test_top_level_must_be_an_object(tmp_path, payload):
         load_session(path)
 
 
+@pytest.mark.parametrize(
+    "ring, sigma, message",
+    [
+        ({"matrix": {"n": 2.7}}, None, "matrix needs an integer 'n', got 2.7"),
+        ({"matrix": {"n": 2.0}}, None, "matrix needs an integer 'n', got 2.0"),
+        (
+            {"cayley_dickson": {"level": True}},
+            None,
+            "cayley_dickson needs an integer 'level', got True",
+        ),
+        (
+            {"cayley_dickson": {"level": "1"}},
+            None,
+            "cayley_dickson needs an integer 'level', got '1'",
+        ),
+        (
+            {"cayley_dickson": {"level": 1}},
+            {"kind": "power", "e": 1.9, "base": {"kind": "sigma_q_complex", "q": "2"}},
+            "power needs an integer 'e', got 1.9",
+        ),
+    ],
+    ids=["n-float", "n-integral-float", "level-bool", "level-string", "e-float"],
+)
+def test_integer_fields_accept_only_json_integers(ring, sigma, message):
+    # Neither rounded (2.7 -> 2, e 1.9 -> 1) nor converted (true, "1" -> 1).
+    payload = {"ring": ring, "sigma": sigma or {"kind": "identity"}, "structure": "ore"}
+    with pytest.raises(ConfigError) as exc:
+        load_session(payload)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("precision", [True, False, "4", 2.0, 0])
 def test_series_precision_must_be_a_positive_int(precision):
     payload = {

@@ -243,7 +243,7 @@ def test_matrix_literals():
     md = Matrix(2)
     profile = ExprProfile("element", md)
     m = eval_element(parse("[[1, 0], [0, -1]]", profile), md)
-    assert m == element(md, [[1, 0], [0, -1]])
+    assert m == element(md, [1, 0, 0, -1])
     with pytest.raises(EvalError):
         eval_element(parse("[[1, 0], [0, 1]]", ExprProfile("element", md)), RATIONALS)
     with pytest.raises(EvalError):

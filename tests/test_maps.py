@@ -128,8 +128,8 @@ def test_counterexample_sigma_maps_y_multiples_into_y_squared():
 
 def test_transpose_and_conjugation():
     t = TransposeMap(Matrix(2))
-    m = element(Matrix(2), [[1, 2], [3, 4]])
-    assert t.apply(m) == element(Matrix(2), [[1, 3], [2, 4]])
+    m = element(Matrix(2), [1, 2, 3, 4])
+    assert t.apply(m) == element(Matrix(2), [1, 3, 2, 4])
     assert verify_unit_behavior(t).passed
     c = ConjugationMap(QUATERNIONS_Q)
     a = random_element(QUATERNIONS_Q, Random(0))

@@ -279,12 +279,12 @@ def test_jordan_over_commutative_base_is_plain_product():
 
 def test_matrix_arithmetic():
     d = Matrix(2)
-    a = element(d, [[1, 2], [3, 4]])
-    b = element(d, [[0, 1], [1, 0]])
-    assert a * b == element(d, [[2, 1], [4, 3]])
-    assert b * a == element(d, [[3, 4], [1, 2]])
-    assert one(d) == element(d, [[1, 0], [0, 1]])
-    assert d.transpose_value(a.value) == element(d, [[1, 3], [2, 4]]).value
+    a = element(d, [1, 2, 3, 4])
+    b = element(d, [0, 1, 1, 0])
+    assert a * b == element(d, [2, 1, 4, 3])
+    assert b * a == element(d, [3, 4, 1, 2])
+    assert one(d) == element(d, [1, 0, 0, 1])
+    assert d.transpose_value(a.value) == element(d, [1, 3, 2, 4]).value
 
 
 def test_cayley_dickson_level_cap():
@@ -374,7 +374,7 @@ def test_rendering_is_canonical():
     assert str(p) == "2 - Y + 3*Y^2"
     assert str(mono2(3, 1) + mono2(2, 0)) == "Y^2 + Y^3*Z"
     assert str(zero(Poly1())) == "0"
-    m = element(Matrix(2), [[1, 0], [0, -1]])
+    m = element(Matrix(2), [1, 0, 0, -1])
     assert str(m) == "[[1, 0], [0, -1]]"
     assert str(basis_element(OCTONIONS_Q, 5)) == "e5"
 
@@ -390,6 +390,8 @@ ZERO_TEST_RINGS = {
     "Matrix1": Matrix(1),
     "Matrix2": Matrix(2),
     "Matrix3": Matrix(3),
+    "Matrix1/C": Matrix(1, COMPLEX_Q),
+    "Matrix1/Poly1": Matrix(1, Poly1()),
 }
 
 
@@ -414,6 +416,8 @@ def test_canon_is_idempotent_on_canonical_values(name, seed):
     a = d.sample_value(Random(seed))
     for v in (a, d.zero_value(), d.one_value(), d.neg_value(a)):
         assert d.canon(v) == v
+        if isinstance(d, (CayleyDickson, Matrix)):
+            assert d.canon(d.flat_values(v)) == v
 
 
 BIADDITIVE_RINGS = {
@@ -506,9 +510,9 @@ def test_scalar_of_refuses_non_scalars():
         (cd1, element(cd1, [[(1, 1)], []])),
         (Poly1(), monomial_element(Poly1(), 1)),
         (Poly2(), scalar(Poly2(), 2) + monomial_element(Poly2(), (0, 1))),
-        (Matrix(2), element(Matrix(2), [[1, 0], [0, 2]])),
-        (Matrix(2), element(Matrix(2), [[1, 1], [0, 1]])),
-        (jordan, element(jordan, [[0, 1], [1, 0]])),
+        (Matrix(2), element(Matrix(2), [1, 0, 0, 2])),
+        (Matrix(2), element(Matrix(2), [1, 1, 0, 1])),
+        (jordan, element(jordan, [0, 1, 1, 0])),
     ]
     for d, a in cases:
         assert d.scalar_of(a.value) is None, (d, a)
