@@ -79,7 +79,9 @@ def parse_descriptor(obj) -> RingDescriptor:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ConfigError(f"unrecognized ring record: {obj!r}")
     (kind, params), = obj.items()
-    params = params or {}
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise ConfigError(f"ring record {kind!r} needs a JSON object, got {params!r}")
     try:
         if kind == "rationals":
             return Rationals()
@@ -91,7 +93,7 @@ def parse_descriptor(obj) -> RingDescriptor:
         if kind == "poly1":
             return Poly1(params.get("variable", "Y"))
         if kind == "poly2":
-            return Poly2(tuple(params.get("variables", ("Y", "Z"))))
+            return Poly2(params.get("variables", ("Y", "Z")))
         if kind == "matrix":
             base = params.get("base", "rationals")
             return Matrix(_integer(params, "n", kind), parse_descriptor(base))
@@ -207,8 +209,8 @@ def load_session(source) -> Session:
     try:
         if structure == "iterated_laurent":
             recs = raw.get("sigmas")
-            if not recs:
-                raise ConfigError("iterated_laurent needs a 'sigmas' list")
+            if type(recs) is not list or not recs:
+                raise ConfigError("iterated_laurent needs a non-empty 'sigmas' list")
             context = IteratedLaurentContext(
                 ring, tuple(parse_map(rec, ring) for rec in recs)
             )

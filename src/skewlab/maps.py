@@ -8,9 +8,9 @@ what makes the inverses exact.
 
 The value hooks ``value`` and ``inverse_value``, which the products' twist
 tables call, take and return raw values of the domain: no domain check, no
-wrapper, and exactly what ``domain.canon`` would return. A map defines them,
-or only ``_apply`` and ``_apply_inverse``, which the default hooks wrap; a
-subclass of a map that defines the hooks overrides the hooks.
+wrapper, and exactly what ``domain.canon`` would return. They are the one way
+to define a map: ``apply`` and ``apply_inverse`` check the domain and wrap
+what the hooks return.
 
 The ``verify_*`` functions are sampling-based falsifiers: each runs its
 sampler through :func:`~skewlab.reports.falsify` and either produces a
@@ -75,29 +75,19 @@ class TwistMap:
 
     def apply(self, a: RingElement) -> RingElement:
         self._check_domain(a)
-        return self._apply(a)
+        return RingElement(self.domain, self.value(a.value))
 
     def apply_inverse(self, a: RingElement) -> RingElement:
         if not self.has_inverse:
             raise NoInverse(f"{self.kind} carries no inverse")
         self._check_domain(a)
-        return self._apply_inverse(a)
+        return RingElement(self.domain, self.inverse_value(a.value))
 
     def value(self, v):
-        return self._apply(RingElement(self.domain, v)).value
+        raise NotImplementedError(f"{self.kind} defines no value")
 
     def inverse_value(self, v):
-        return self._apply_inverse(RingElement(self.domain, v)).value
-
-    def _apply(self, a: RingElement) -> RingElement:
-        if type(self).value is TwistMap.value:
-            raise NotImplementedError(f"{self.kind} defines neither value nor _apply")
-        return RingElement(self.domain, self.value(a.value))
-
-    def _apply_inverse(self, a: RingElement) -> RingElement:
-        if not self.has_inverse or type(self).inverse_value is TwistMap.inverse_value:
-            raise NoInverse(f"{self.kind} carries no inverse")
-        return RingElement(self.domain, self.inverse_value(a.value))
+        raise NoInverse(f"{self.kind} carries no inverse")
 
     def _key(self):
         return tuple(sorted(vars(self).items()))

@@ -30,6 +30,7 @@ from .rings import (
     monomial_element,
     monomial_ideal_member,
     random_element,
+    random_terms,
 )
 from .skewpoly import OreContext, OrePoly
 
@@ -153,41 +154,36 @@ def _y_monomial(a: int, b: int, c=1) -> RingElement:
 def _random_coefficient(rng: Random, bound: int, low: int = 0) -> RingElement:
     """A random element of Q[Y, Z] within the degree bound; with ``low = 1``,
     one to three terms, each a multiple of Y."""
-    terms = []
-    for _ in range(rng.randint(low, 3)):
-        terms.append(
-            (
-                (rng.randint(low, bound), rng.randint(0, bound)),
-                Fraction(rng.randint(-9, 9)),
-            )
-        )
+    terms = random_terms(
+        rng,
+        lambda r: (r.randint(low, bound), r.randint(0, bound)),
+        lambda r: Fraction(r.randint(-9, 9)),
+        3,
+        low,
+    )
     return element(POLY2, terms)
+
+
+def _random_ore(ctx, rng: Random, cfg, degree: int, low: int = 0) -> OrePoly:
+    """Each degree up to ``degree`` gets a coefficient with chance 0.6."""
+    return OrePoly.from_terms(ctx, [
+        (e, _random_coefficient(rng, cfg.coefficient_degree_bound, low))
+        for e in range(degree + 1)
+        if rng.random() < 0.6
+    ])
 
 
 def _random_ideal_generator(ctx, rng: Random, cfg: CounterexampleConfig) -> OrePoly:
     """A nonzero member of the left ideal: every coefficient a multiple of Y,
     degree at most the configured maximum."""
     while True:
-        terms = []
-        for e in range(cfg.max_generator_degree + 1):
-            if rng.random() < 0.6:
-                c = _random_coefficient(rng, cfg.coefficient_degree_bound, 1)
-                terms.append((e, c))
-        p = OrePoly.from_terms(ctx, terms)
+        p = _random_ore(ctx, rng, cfg, cfg.max_generator_degree, 1)
         if not p.is_zero():
             return p
 
 
 def _random_multiplier(ctx, rng: Random, cfg: CounterexampleConfig) -> OrePoly:
-    terms = []
-    for e in range(cfg.multiplier_degree_bound + 1):
-        if rng.random() < 0.6:
-            c = _random_coefficient(rng, cfg.coefficient_degree_bound)
-            if not c.is_zero():
-                terms.append((e, c))
-    if not terms:
-        terms = [(0, _y_monomial(0, 0))]
-    return OrePoly.from_terms(ctx, terms)
+    return _random_ore(ctx, rng, cfg, cfg.multiplier_degree_bound) or OrePoly.one(ctx)
 
 
 def counterexample_witness(cfg: CounterexampleConfig) -> WitnessReport:

@@ -61,6 +61,7 @@ products use this to skip the ring product for a rational left factor.
 from __future__ import annotations
 
 import operator
+import re
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
@@ -641,6 +642,15 @@ OCTONIONS_Q = CayleyDickson(3)
 SEDENIONS_Q = CayleyDickson(4)
 
 
+def _variable(name) -> str:
+    """``name``, unless it is no name of the expression grammar or would print
+    like an indeterminate X, X1, ... or the tail marker O: then refuse it."""
+    pattern = r"(?!X[0-9]*$|O$)[A-Za-z][A-Za-z0-9]*"
+    if not (isinstance(name, str) and re.fullmatch(pattern, name)):
+        raise UnsupportedDescriptor(f"{name!r} cannot name a polynomial variable")
+    return name
+
+
 def _var_power(name: str, e: int) -> str:
     if e == 0:
         return ""
@@ -702,10 +712,9 @@ class _PolyRing(RingDescriptor):
         return None if a else Fraction(0)
 
     def sample_value(self, rng):
-        terms = {}
-        for _ in range(rng.randint(0, 3)):
-            terms[self._sample_exponent(rng)] = _sample_fraction(rng)
-        return self.canon(terms)
+        # Coefficient drawn before exponent; a repeated exponent keeps the last.
+        pairs = random_terms(rng, _sample_fraction, self._sample_exponent)
+        return self.canon({e: c for c, e in pairs})
 
     def render_terms(self, a):
         return tuple(
@@ -723,6 +732,9 @@ class Poly1(_PolyRing):
 
     _constant = 0
     _add_exponents = staticmethod(operator.add)
+
+    def __post_init__(self):
+        _variable(self.variable)
 
     @staticmethod
     def _exponent(e):
@@ -747,9 +759,10 @@ class Poly2(_PolyRing):
     _constant = (0, 0)
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        if len(self.variables) != 2 or self.variables[0] == self.variables[1]:
+        names = self.variables
+        if type(names) not in (list, tuple) or len(names) != 2 or names[0] == names[1]:
             raise UnsupportedDescriptor("Poly2 needs two distinct variable names")
+        object.__setattr__(self, "variables", tuple(map(_variable, names)))
 
     @staticmethod
     def _exponent(exps):
@@ -993,6 +1006,12 @@ def monomial_ideal_member(p: RingElement, generators: list[RingElement]) -> bool
 
 def random_element(descriptor: RingDescriptor, rng: Random) -> RingElement:
     return RingElement(descriptor, descriptor.sample_value(rng))
+
+
+def random_terms(rng: Random, first, second, most: int = 3, least: int = 0):
+    """A count drawn from ``least..most``, then that many pairs, each drawn
+    ``first(rng)`` before ``second(rng)``: the library's one term loop."""
+    return [(first(rng), second(rng)) for _ in range(rng.randint(least, most))]
 
 
 def is_associative_division_ring(descriptor: RingDescriptor) -> bool:

@@ -30,6 +30,7 @@ from .rings import (
     is_associative_division_ring,
     one,
     random_element,
+    random_terms,
     sum_terms,
     zero,
 )
@@ -280,11 +281,10 @@ def agree_below(a: TruncatedSeries, b: TruncatedSeries, bound: int) -> bool:
     return a.truncate(bound).terms == b.truncate(bound).terms
 
 
-def random_series(ctx, rng: Random, precision: int, min_exp: int = 0,
-                  max_terms: int = 3) -> TruncatedSeries:
-    terms = []
-    for _ in range(rng.randint(0, max_terms)):
-        terms.append(
-            (rng.randint(min_exp, precision - 1), random_element(ctx.ring, rng))
-        )
+def random_series(ctx, rng: Random, precision: int) -> TruncatedSeries:
+    terms = random_terms(
+        rng,
+        lambda r: r.randint(0, precision - 1),
+        lambda r: random_element(ctx.ring, r),
+    )
     return TruncatedSeries.from_terms(ctx, terms, precision)

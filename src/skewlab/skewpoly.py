@@ -87,6 +87,7 @@ from .rings import (
     labeled_terms,
     one,
     random_element,
+    random_terms,
     sum_terms,
     zero,
 )
@@ -554,42 +555,22 @@ def poly_associator(p, q, r):
     return (p * q) * r - p * (q * r)
 
 
-def random_ore_poly(ctx, rng: Random, max_degree: int = 4, max_terms: int = 3):
-    terms = []
-    for _ in range(rng.randint(0, max_terms)):
-        terms.append((rng.randint(0, max_degree), random_element(ctx.ring, rng)))
-    return OrePoly.from_terms(ctx, terms)
+_SAMPLE_BOUNDS = {OrePoly: (0, 4), LaurentPoly: (-3, 3), MultiLaurentPoly: (-2, 2)}
 
 
-def random_laurent_poly(
-    ctx, rng: Random, min_exp: int = -3, max_exp: int = 3, max_terms: int = 3
-):
-    terms = []
-    for _ in range(rng.randint(0, max_terms)):
-        terms.append((rng.randint(min_exp, max_exp), random_element(ctx.ring, rng)))
-    return LaurentPoly.from_terms(ctx, terms)
+def random_poly(ctx, rng: Random, bounds=None, most: int = 3):
+    """Up to ``most`` random terms over ``ctx``, each exponent (or exponent-vector
+    entry) in ``bounds``, a ``(lo, hi)`` pair that defaults to ``_SAMPLE_BOUNDS``."""
+    cls = poly_class(ctx)
+    lo, hi = bounds or _SAMPLE_BOUNDS[cls]
 
+    def exponent(r):
+        if cls is MultiLaurentPoly:
+            return tuple(r.randint(lo, hi) for _ in ctx.sigmas)
+        return r.randint(lo, hi)
 
-def random_multi_poly(ctx, rng: Random, max_abs_exp: int = 2, max_terms: int = 3):
-    width = len(ctx.sigmas)
-    terms = []
-    for _ in range(rng.randint(0, max_terms)):
-        exps = tuple(rng.randint(-max_abs_exp, max_abs_exp) for _ in range(width))
-        terms.append((exps, random_element(ctx.ring, rng)))
-    return MultiLaurentPoly.from_terms(ctx, terms)
-
-
-_RANDOM_POLY = {
-    OrePoly: random_ore_poly,
-    LaurentPoly: random_laurent_poly,
-    MultiLaurentPoly: random_multi_poly,
-}
-
-
-def random_poly(ctx, rng: Random):
-    """A random polynomial over ``ctx``, drawn by the sampler of its class
-    with that sampler's default bounds."""
-    return _RANDOM_POLY[poly_class(ctx)](ctx, rng)
+    terms = random_terms(rng, exponent, lambda r: random_element(ctx.ring, r), most)
+    return cls.from_terms(ctx, terms)
 
 
 def nucleus_check_power(ctx, n: int, trials: int, seed: int = 0) -> CheckReport:

@@ -19,15 +19,13 @@ from .noetherian import (
     sigma_ideal_image_check,
 )
 from .reports import CheckReport, SuiteReport, falsify, no_violation_message
-from .rings import is_associative_division_ring, one, random_element
+from .rings import is_associative_division_ring, one, random_element, random_terms
 from .series import TruncatedSeries, agree_below, random_series
 from .skewpoly import (
     OreContext,
     nucleus_check_power,
     nucleus_falsify,
     poly_associator,
-    random_laurent_poly,
-    random_ore_poly,
     random_poly,
     right_divide,
 )
@@ -191,15 +189,12 @@ def _division_roundtrip(session, trials, seed, options) -> SuiteReport:
     def trial(rng):
         gens = []
         while not gens:
-            gens = [
-                g
-                for g in (
-                    random_ore_poly(ctx, rng, max_degree=3)
-                    for _ in range(rng.randint(1, 3))
-                )
-                if not g.is_zero()
-            ]
-        p = random_ore_poly(ctx, rng, max_degree=6, max_terms=4)
+            # One to three generators; each pair's second half draws nothing.
+            drawn = random_terms(
+                rng, lambda r: random_poly(ctx, r, (0, 3)), lambda r: None, 3, 1
+            )
+            gens = [g for g, _ in drawn if not g.is_zero()]
+        p = random_poly(ctx, rng, (0, 6), 4)
         trace = right_divide(p, gens)
         min_deg = min(g.degree() for g in gens)
         if not (trace.remainder.degree() < min_deg and trace.replay(gens) == p):
@@ -222,8 +217,8 @@ def _series_precision(session, trials, seed, options) -> SuiteReport:
     min_exp = 0 if session.structure == "power_series" else -3
 
     def trial(rng):
-        p = random_laurent_poly(ctx, rng, min_exp, 4)
-        q = random_laurent_poly(ctx, rng, min_exp, 4)
+        p = random_poly(ctx, rng, (min_exp, 4))
+        q = random_poly(ctx, rng, (min_exp, 4))
         sp = TruncatedSeries.from_poly(p, precision)
         sq = TruncatedSeries.from_poly(q, precision)
         sprod = sp * sq

@@ -63,8 +63,7 @@ from skewlab.skewpoly import (
     polynomial_part,
     assemble_left_normal,
     left_normal_form,
-    random_laurent_poly,
-    random_ore_poly,
+    random_poly,
     right_divide,
 )
 
@@ -147,7 +146,7 @@ def test_c05_associativity_dichotomy():
     for q in (1, -1):
         ctx = LaurentContext(COMPLEX_Q, SigmaQComplex(q))
         for _ in range(500):
-            trip = [random_laurent_poly(ctx, rng) for _ in range(3)]
+            trip = [random_poly(ctx, rng) for _ in range(3)]
             assert poly_associator(*trip).is_zero()
 
     # hand expansion first: ((X i) i) - (X (i i)) = -3 X for q = 2
@@ -169,7 +168,7 @@ def test_c05_associativity_dichotomy():
             assert witness == LaurentPoly.monomial(ctx, scalar(COMPLEX_Q, -3), 1)
         found = False
         for _ in range(500):
-            trip = [random_laurent_poly(ctx, rng) for _ in range(3)]
+            trip = [random_poly(ctx, rng) for _ in range(3)]
             if not poly_associator(*trip).is_zero():
                 found = True
                 break
@@ -203,12 +202,12 @@ def test_c07_right_division_soundness():
                 gens = [
                     g
                     for g in (
-                        random_ore_poly(ctx, rng, max_degree=3)
+                        random_poly(ctx, rng, (0, 3))
                         for _ in range(rng.randint(1, 3))
                     )
                     if not g.is_zero()
                 ]
-            p = random_ore_poly(ctx, rng, max_degree=6, max_terms=4)
+            p = random_poly(ctx, rng, (0, 6), 4)
             trace = right_divide(p, gens)
             assert trace.remainder.degree() < min(g.degree() for g in gens)
             assert trace.replay(gens) == p
@@ -219,12 +218,12 @@ def test_c08_normal_forms():
     ore = OreContext(P1, CoefficientDoubler(P1), FormalDerivative(P1))
     rng = Random(8)
     for _ in range(100):
-        p = random_ore_poly(ore, rng)
+        p = random_poly(ore, rng)
         assert assemble_left_normal(ore, left_normal_form(p)) == p
     laurent = LaurentContext(COMPLEX_Q, SigmaQComplex(2))
     done = 0
     while done < 100:
-        p = random_laurent_poly(laurent, rng)
+        p = random_poly(laurent, rng)
         if p.is_zero():
             continue
         q, m = polynomial_part(p)
@@ -311,8 +310,8 @@ def test_c11_iterated_laurent():
     single = IteratedLaurentContext(COMPLEX_Q, (SigmaQComplex(2),))
     rng = Random(11)
     for _ in range(100):
-        p = random_laurent_poly(lctx, rng)
-        q = random_laurent_poly(lctx, rng)
+        p = random_poly(lctx, rng)
+        q = random_poly(lctx, rng)
         ip = MultiLaurentPoly.from_terms(single, [((e,), c) for e, c in p.terms])
         iq = MultiLaurentPoly.from_terms(single, [((e,), c) for e, c in q.terms])
         assert (ip * iq).terms == tuple(((e,), c) for e, c in (p * q).terms)

@@ -257,6 +257,16 @@ def test_usage_and_parse_errors_exit_two(capsys, cfg, tmp_path):
             ["eval", "1"],
             "error: matrix needs an integer 'n', got 2.5",
         ),
+        (
+            {"ring": {"matrix": [2]}, "sigma": {"kind": "identity"}, "structure": "ore"},
+            ["eval", "1"],
+            "error: ring record 'matrix' needs a JSON object, got [2]",
+        ),
+        (
+            {**WEYL, "ring": {"poly1": {"variable": "X"}}},
+            ["eval", "1"],
+            "error: 'X' cannot name a polynomial variable",
+        ),
     ],
 )
 def test_malformed_input_exits_two_with_one_error_line(capsys, cfg, config, argv, message):

@@ -22,6 +22,8 @@ def test_descriptor_records():
     assert parse_descriptor({"cayley_dickson": {"level": 2}}) == QUATERNIONS_Q
     assert parse_descriptor({"matrix": {"n": 2, "base": "rationals"}}) == Matrix(2)
     assert parse_descriptor({"poly1": {"variable": "T"}}) == Poly1("T")
+    assert parse_descriptor({"poly1": {"variable": "Xa"}}) == Poly1("Xa")
+    assert parse_descriptor({"poly1": None}) == Poly1()
     assert parse_descriptor({"poly2": {"variables": ["U", "V"]}}) == Poly2(("U", "V"))
     assert parse_descriptor(
         {"jordan_plus": {"base": {"cayley_dickson": {"level": 2}}}}
@@ -162,6 +164,53 @@ def test_integer_fields_accept_only_json_integers(ring, sigma, message):
     with pytest.raises(ConfigError) as exc:
         load_session(payload)
     assert str(exc.value) == message
+
+
+_OBJECT = "needs a JSON object"
+_VARIABLE = "cannot name a polynomial variable"
+_TWO_NAMES = "Poly2 needs two distinct variable names"
+
+
+@pytest.mark.parametrize(
+    "ring, message",
+    [
+        ({"matrix": [2]}, f"ring record 'matrix' {_OBJECT}, got [2]"),
+        ({"cayley_dickson": 5}, f"ring record 'cayley_dickson' {_OBJECT}, got 5"),
+        ({"jordan_plus": 3}, f"ring record 'jordan_plus' {_OBJECT}, got 3"),
+        ({"poly1": "Y"}, f"ring record 'poly1' {_OBJECT}, got 'Y'"),
+        ({"poly2": {"variables": 7}}, _TWO_NAMES),
+        ({"poly2": {"variables": "YZ"}}, _TWO_NAMES),
+        ({"poly2": {"variables": ["Y"]}}, _TWO_NAMES),
+        ({"poly2": {"variables": ["Y", "X1"]}}, f"'X1' {_VARIABLE}"),
+        ({"poly1": {"variable": "X"}}, f"'X' {_VARIABLE}"),
+        ({"poly1": {"variable": "X12"}}, f"'X12' {_VARIABLE}"),
+        ({"poly1": {"variable": "O"}}, f"'O' {_VARIABLE}"),
+        ({"poly1": {"variable": 3}}, f"3 {_VARIABLE}"),
+        ({"poly1": {"variable": "Y Z"}}, f"'Y Z' {_VARIABLE}"),
+        ({"poly1": {"variable": "2Y"}}, f"'2Y' {_VARIABLE}"),
+        ({"poly1": {"variable": ""}}, f"'' {_VARIABLE}"),
+    ],
+    ids=[
+        "matrix-list", "cayley-dickson-int", "jordan-int", "poly1-string",
+        "poly2-int", "poly2-string", "poly2-one-name", "poly2-indeterminate",
+        "variable-X", "variable-X12", "variable-O", "variable-int",
+        "variable-blank", "variable-digit-first", "variable-empty",
+    ],
+)
+def test_malformed_ring_records_are_refused(ring, message):
+    # Each used to end in an AttributeError or a TypeError, or to load a ring
+    # whose monomials print like X^n or cannot be parsed back.
+    payload = {"ring": ring, "sigma": {"kind": "identity"}, "structure": "ore"}
+    with pytest.raises(ConfigError) as exc:
+        load_session(payload)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("sigmas", [5, "ab", {"kind": "identity"}, []])
+def test_iterated_sigmas_must_be_a_non_empty_list(sigmas):
+    payload = {"ring": "rationals", "sigmas": sigmas, "structure": "iterated_laurent"}
+    with pytest.raises(ConfigError, match="needs a non-empty 'sigmas' list"):
+        load_session(payload)
 
 
 @pytest.mark.parametrize("precision", [True, False, "4", 2.0, 0])

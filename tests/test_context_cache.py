@@ -62,11 +62,11 @@ class Tagged(TwistMap):
         self.kind = base.kind
         super().__init__(base.domain, base.claims, base.has_inverse)
 
-    def _apply(self, a):
-        return self.base.apply(a)
+    def value(self, v):
+        return self.base.value(v)
 
-    def _apply_inverse(self, a):
-        return self.base.apply_inverse(a)
+    def inverse_value(self, v):
+        return self.base.inverse_value(v)
 
 
 @pytest.fixture

@@ -52,8 +52,8 @@ class Squaring(TwistMap):
     def __init__(self):
         super().__init__(RATIONALS, set(), False)
 
-    def _apply(self, a):
-        return a * a
+    def value(self, v):
+        return v * v
 
 
 class WrongInverse(TwistMap):
@@ -64,11 +64,11 @@ class WrongInverse(TwistMap):
     def __init__(self):
         super().__init__(RATIONALS, set(), True)
 
-    def _apply(self, a):
-        return a + a
+    def value(self, v):
+        return v + v
 
-    def _apply_inverse(self, a):
-        return a
+    def inverse_value(self, v):
+        return v
 
 
 VERIFY_CASES = {

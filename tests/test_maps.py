@@ -193,8 +193,8 @@ def test_verify_additive_finds_squaring_counterexample():
         def __init__(self):
             super().__init__(RATIONALS, set(), False)
 
-        def _apply(self, a):
-            return a * a
+        def value(self, v):
+            return v * v
 
     report = verify_additive(Squaring(), 100, seed=0)
     assert not report.passed
@@ -225,8 +225,8 @@ def test_unit_behavior_reports():
         def __init__(self):
             super().__init__(RATIONALS, set(), False)
 
-        def _apply(self, a):
-            return a
+        def value(self, v):
+            return v
 
     with pytest.raises(ValueError):
         verify_unit_behavior(NoClaims())
@@ -320,13 +320,12 @@ def test_power_tables_walk_values_and_repeat_the_identity():
 
 
 def test_a_map_without_hooks_or_apply_refuses_cleanly():
-    # The default hooks and the default _apply pair wrap each other; a map
-    # that overrides neither side must raise, not recurse.
+    # A map that defines no value hooks must raise, not return a wrong value.
     class Bare(TwistMap):
         kind = "bare"
 
     bare = Bare(P1, set(), True)
-    with pytest.raises(NotImplementedError, match="bare defines neither"):
+    with pytest.raises(NotImplementedError, match="bare defines no value"):
         bare.apply(one(P1))
     with pytest.raises(NotImplementedError):
         bare.value(one(P1).value)

@@ -253,13 +253,13 @@ class CountingMap(TwistMap):
         self.calls = 0
         super().__init__(base.domain, base.claims, base.has_inverse)
 
-    def _apply(self, a):
+    def value(self, v):
         self.calls += 1
-        return self.base.apply(a)
+        return self.base.value(v)
 
-    def _apply_inverse(self, a):
+    def inverse_value(self, v):
         self.calls += 1
-        return self.base.apply_inverse(a)
+        return self.base.inverse_value(v)
 
 
 def test_weyl_power_times_variable_is_linear_in_the_degree():

@@ -44,7 +44,7 @@ from skewlab.skewpoly import (
     LaurentPoly,
     OreContext,
     OrePoly,
-    random_laurent_poly,
+    random_poly,
 )
 
 P1 = Poly1()
@@ -148,8 +148,8 @@ def test_precision_soundness_against_polynomial_product():
     ctx = sigma2_ctx()
     rng = Random(4)
     for _ in range(100):
-        p = random_laurent_poly(ctx, rng)
-        q = random_laurent_poly(ctx, rng)
+        p = random_poly(ctx, rng)
+        q = random_poly(ctx, rng)
         sp = TruncatedSeries.from_poly(p, 8)
         sq = TruncatedSeries.from_poly(q, 8)
         sprod = sp * sq
