@@ -565,8 +565,11 @@ def _walk(node, leaf):
 
 def _same_carrier(a, b) -> bool:
     """Whether ``a`` and ``b`` are polynomials that add term list to term
-    list: the same class over the same context."""
-    return isinstance(a, _TermPoly) and type(a) is type(b) and a.context == b.context
+    list: the same class over the same context. Series windows share the
+    carrier but not this rule (a sum keeps the least precision), so they
+    go through :func:`_combine`."""
+    same = isinstance(a, _TermPoly) and type(a) is type(b) is not TruncatedSeries
+    return same and a.context == b.context
 
 
 def _close_run(value, run):

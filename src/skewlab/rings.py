@@ -528,6 +528,17 @@ class CayleyDickson(_Coordinates):
             raise UnsupportedDescriptor(
                 f"Cayley-Dickson level must be in 0..4, got {self.level}"
             )
+        # A polynomial variable named like a unit would print like it, and in
+        # an expression the name reads as the unit. Poly2 names two variables,
+        # Poly1 one, and other bases none (these classes come later).
+        dim = 1 << self.level
+        units = {f"e{n}" for n in range(dim)} | set("ijk"[: dim - 1])
+        for name in getattr(inner, "variables", (getattr(inner, "variable", None),)):
+            if name in units:
+                raise UnsupportedDescriptor(
+                    f"a cayley_dickson ring of level {self.level} cannot have a "
+                    f"polynomial variable named {name!r}: it names a unit"
+                )
 
     @cached_property
     def _unit(self) -> tuple:

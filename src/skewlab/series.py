@@ -1,16 +1,18 @@
 """Truncated twisted power and Laurent series with explicit precision.
 
 A :class:`TruncatedSeries` is a window of exactly known coefficients below
-``precision``; everything at or above ``precision`` is unknown, not zero. The
-window stores only its nonzero terms, so its cost does not depend on its
-precision. Every operation computes the largest output precision it can
-actually prove rather than clipping to a global cutoff, so no stored
-coefficient is ever silently wrong. In particular the product of windows
-known below ``P`` and ``Q`` is known below ``min(P + start_other, Q +
-start_self)``, where ``start`` is the first stored exponent.
+``precision``; everything at or above ``precision`` is unknown, not zero. It
+is the polynomial carrier of :mod:`skewlab.skewpoly` plus that precision: it
+stores only its nonzero terms, so its cost does not depend on its precision.
+Every operation computes the largest output precision it can actually prove
+rather than clipping to a global cutoff, so no stored coefficient is ever
+silently wrong. In particular the product of windows known below ``P`` and
+``Q`` is known below ``min(P + start_other, Q + start_self)``, where
+``start`` is the first stored exponent.
 
 An exhausted window (no stored term) has an *unknown* order: truncation can
 never certify that a series is zero. Order is therefore ``int | None``.
+Reduction runs the engine of right division on the lowest term.
 
 The context is either a :class:`~skewlab.skewpoly.LaurentContext` (negative
 exponents allowed) or an :class:`~skewlab.skewpoly.OreContext` whose delta is
@@ -19,74 +21,67 @@ the zero map (power series over a not-necessarily-invertible sigma).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from random import Random
 
-from .maps import power_apply
-from .rings import (
-    RingElement,
-    UnsupportedDescriptor,
-    _var_power,
-    is_associative_division_ring,
-    one,
-    random_element,
-    random_terms,
-    sum_terms,
-    zero,
-)
-from .skewpoly import (
-    ContextMismatch,
+from .rings import RingElement, one, random_element, random_terms, sum_terms, zero
+from .skewpoly import (  # replay_reduction is re-exported
     LaurentContext,
     OreContext,
-    render_terms_text,
+    _TermPoly,
+    replay_reduction,
+    right_reduce,
     twisted_product,
 )
 
 
 def _validate_series_context(ctx):
-    if isinstance(ctx, LaurentContext):
-        return
-    if isinstance(ctx, OreContext):
-        if ctx.delta.kind != "zero":
-            raise ValueError(
-                "series over an Ore context require the zero delta"
-            )
-        return
-    raise TypeError("expected a Laurent context or an Ore context with delta = 0")
+    if not isinstance(ctx, (LaurentContext, OreContext)):
+        raise TypeError("expected a Laurent context or an Ore context with delta = 0")
+    if isinstance(ctx, OreContext) and ctx.delta.kind != "zero":
+        raise ValueError("series over an Ore context require the zero delta")
 
 
 @dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_TermPoly):
     """Exactly known coefficients below ``precision``.
 
-    ``terms`` is the canonical sparse term list (:func:`rings.sum_terms`):
-    nonzero ``(exponent, coefficient)`` pairs, ascending, every exponent below
-    ``precision``. ``start`` is derived from it: the first exponent, or
-    ``precision`` when the window is exhausted.
+    ``terms`` is the canonical sparse term list (:func:`rings.sum_terms`),
+    every exponent below ``precision``. ``start`` is derived from it: the
+    first exponent, or ``precision`` when the window is exhausted. An
+    exhausted window is falsy and ``is_zero()``; its order is unknown.
     """
 
-    context: object
-    terms: tuple[tuple[int, RingElement], ...]
     precision: int
 
+    _allow_negative = True
+    _lead = 0  # the lowest term
+
     @classmethod
-    def from_terms(cls, context, pairs, precision: int):
-        """Exact finite terms viewed through a window of the given precision."""
-        _validate_series_context(context)
-        ring = context.ring
-        kept = [(e, c) for e, c in pairs if e < precision]
-        for _, c in kept:
-            if not isinstance(c, RingElement) or c.descriptor != ring:
-                raise ValueError("coefficients must be elements of the context ring")
-        window = cls(context, sum_terms(kept), precision)
+    def _window(cls, context, terms, precision: int):
+        """The window below ``precision`` of a canonical term list: a prefix,
+        cut with no canonicalising pass. A power series window starting
+        below exponent 0 is refused."""
+        terms = terms[: bisect_left(terms, precision, key=itemgetter(0))]
+        window = cls(context, terms, precision)
         if window.start < 0 and isinstance(context, OreContext):
             raise ValueError("power series windows start at exponent 0 or above")
         return window
 
     @classmethod
+    def from_terms(cls, context, pairs, precision: int):
+        """Exact finite terms viewed through a window of the given precision."""
+        _validate_series_context(context)
+        kept = [cls._term(context, e, c) for e, c in pairs if e < precision]
+        return cls._window(context, sum_terms(kept), precision)
+
+    @classmethod
     def from_poly(cls, p, precision: int):
         """Truncate a polynomial (Ore or Laurent) to a series window."""
-        return cls.from_terms(p.context, p.terms, precision)
+        _validate_series_context(p.context)
+        return cls._window(p.context, p.terms, precision)
 
     @classmethod
     def zero_window(cls, context, precision: int):
@@ -111,7 +106,7 @@ class TruncatedSeries:
     def coefficient(self, e: int) -> RingElement:
         if e >= self.precision:
             raise ValueError(f"coefficient of X^{e} is beyond this precision")
-        return dict(self.terms).get(e, zero(self.context.ring))
+        return super().coefficient(e)
 
     def order(self):
         """Least exponent with a nonzero stored coefficient; ``None`` when the
@@ -126,45 +121,35 @@ class TruncatedSeries:
     def truncate(self, precision: int) -> "TruncatedSeries":
         if precision > self.precision:
             raise ValueError("cannot raise precision")
-        return TruncatedSeries.from_terms(self.context, self.terms, precision)
-
-    def _require_same_context(self, other):
-        if not isinstance(other, TruncatedSeries) or other.context != self.context:
-            raise ContextMismatch("series come from different contexts")
+        return self._window(self.context, self.terms, precision)
 
     def __add__(self, other):
         self._require_same_context(other)
         precision = min(self.precision, other.precision)
-        return TruncatedSeries.from_terms(
-            self.context, self.terms + other.terms, precision
-        )
+        kept = [t for t in self.terms + other.terms if t[0] < precision]
+        return self._window(self.context, sum_terms(kept), precision)
 
     def __neg__(self):
-        return TruncatedSeries(
-            self.context, tuple((e, -c) for e, c in self.terms), self.precision
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
+        negated = tuple((e, -c) for e, c in self.terms)
+        return TruncatedSeries(self.context, negated, self.precision)
 
     def __mul__(self, other):
         return series_mul(self, other)
 
+    def _times_term(self, s: RingElement, k: int) -> "TruncatedSeries":
+        return shift_scale(self, s, k)
+
     def __str__(self):
-        body = render_terms_text(
-            self.context.ring, self.terms, lambda e: _var_power("X", e)
-        )
+        body = super().__str__()
         tail = f"O(X^{self.precision})"
         return tail if body == "0" else f"{body} + {tail}"
 
-    def __repr__(self):
-        return f"<TruncatedSeries {self}>"
-
 
 def _exact_below(ctx, left, right, precision: int) -> TruncatedSeries:
-    """The product of two term lists, kept below ``precision``."""
+    """The product of two term lists, kept below ``precision``; the kernel's
+    output is already canonical."""
     terms = twisted_product(ctx, left, right, limit=precision)
-    return TruncatedSeries.from_terms(ctx, terms, precision)
+    return TruncatedSeries._window(ctx, terms, precision)
 
 
 def series_mul(p: TruncatedSeries, q: TruncatedSeries) -> TruncatedSeries:
@@ -200,78 +185,28 @@ def series_times_poly(s: TruncatedSeries, p) -> TruncatedSeries:
     return _exact_below(s.context, s.terms, p.terms, s.precision + p.order())
 
 
-@dataclass(frozen=True)
-class SeriesReduceStep:
-    generator_index: int
-    multiplier: RingElement
-    shift: int
-
-
-def series_reduce_step(
-    q: TruncatedSeries, generators
-) -> tuple[TruncatedSeries, SeriesReduceStep]:
-    """One order-raising step: subtract ``g * (k X^shift)`` where the single
-    term is solved so the leading coefficients cancel exactly.
-
-    Requires an associative division coefficient ring; the first generator
-    whose order does not exceed ``order(q)`` is used.
+def series_reduce_step(q: TruncatedSeries, generators):
+    """``(q2, step)``: one order-raising step of
+    :func:`skewlab.skewpoly.right_reduce`, subtracting ``g * (k X^shift)``
+    for the first generator ``g`` whose order does not exceed ``order(q)``.
+    Raises ``ValueError`` when the window is exhausted or no generator fits.
     """
-    ctx = q.context
-    if not is_associative_division_ring(ctx.ring):
-        raise UnsupportedDescriptor(
-            "series reduction needs an associative division coefficient ring"
+    steps, q2 = right_reduce(q, generators, "series reduction", most=1)
+    if not steps:
+        raise ValueError(
+            "order of the input is unknown at this precision" if q.is_zero()
+            else "no generator of order <= order of the input"
         )
-    if not ctx.sigma.has_inverse:
-        raise ValueError("series reduction needs a sigma preimage chooser")
-    oq = q.order()
-    if oq is None:
-        raise ValueError("order of the input is unknown at this precision")
-    generators = list(generators)
-    pick = None
-    for idx, g in enumerate(generators):
-        q._require_same_context(g)
-        og = g.order()
-        if og is not None and og <= oq:
-            pick = idx
-            break
-    if pick is None:
+    return q2, steps[0]
+
+
+def series_reduce_chain(q: TruncatedSeries, generators):
+    """``(steps, remainder)``: :func:`series_reduce_step` repeated until the
+    window is exhausted."""
+    steps, remainder = right_reduce(q, generators, "series reduction")
+    if not remainder.is_zero():
         raise ValueError("no generator of order <= order of the input")
-    g = generators[pick]
-    d = g.order()
-    c = g.leading_coefficient()
-    r = q.leading_coefficient()
-    k = power_apply(ctx.sigma, -d, c.inverse() * r)
-    shift = oq - d
-    q2 = q - shift_scale(g, k, shift)
-    new_order = q2.order()
-    if new_order is not None and new_order <= oq:
-        raise AssertionError("reduction step failed to raise the order")
-    return q2, SeriesReduceStep(pick, k, shift)
-
-
-def series_reduce_chain(
-    q: TruncatedSeries, generators
-) -> tuple[list[SeriesReduceStep], TruncatedSeries]:
-    """Iterate :func:`series_reduce_step` until the window is exhausted."""
-    steps = []
-    work = q
-    while work.order() is not None:
-        work, step = series_reduce_step(work, generators)
-        steps.append(step)
-    return steps, work
-
-
-def replay_reduction(
-    generators, steps, remainder: TruncatedSeries
-) -> TruncatedSeries:
-    """Rebuild ``sum_i g_(idx_i) * (k_i X^(shift_i)) + remainder``."""
-    generators = list(generators)
-    acc = remainder
-    for step in steps:
-        acc = acc + shift_scale(
-            generators[step.generator_index], step.multiplier, step.shift
-        )
-    return acc
+    return steps, remainder
 
 
 def agree_below(a: TruncatedSeries, b: TruncatedSeries, bound: int) -> bool:

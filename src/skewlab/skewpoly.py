@@ -1,6 +1,7 @@
 """Twisted polynomial rings over the coefficient tower.
 
-Two one-variable constructions share the carrier "sorted term list":
+Two one-variable constructions share the carrier "sorted term list" with
+each other and with the series windows of :mod:`skewlab.series`:
 
 * the Ore-style ring, where multiplication is the biadditive extension of
   ``(r X^m)(s X^n) = sum_i (r * pi_i_m(s)) X^(i+n)`` and ``pi_i_m`` is the sum
@@ -11,9 +12,12 @@ Two one-variable constructions share the carrier "sorted term list":
 Multiplication in either ring is generally non-associative; powers of X sit
 in the middle and right nuclei, which :func:`nucleus_check_power` samples.
 An iterated multi-variable Laurent ring over pairwise-commuting twists uses
-the same carrier with exponent vectors. The carrier is the one of
-:mod:`skewlab.rings`: terms are put in canonical form by ``rings.sum_terms``
-and rendered through ``rings.labeled_terms``.
+the same carrier with exponent vectors, and a series window is the carrier
+plus a precision. The carrier is the one of :mod:`skewlab.rings`: terms are
+put in canonical form by ``rings.sum_terms`` and rendered through
+``rings.labeled_terms``. Right division and series reduction are one
+procedure, :func:`right_reduce`: cancel the lead term (a polynomial's
+highest, a window's lowest) by a right multiple ``g*(s X^k)`` of a generator.
 
 Every product, here and in :mod:`skewlab.series`, runs through one kernel,
 :func:`twisted_product`. It visits the right factor's terms and, for each
@@ -374,6 +378,7 @@ class _TermPoly:
 
     _allow_negative = False
     _indeterminate = "X"
+    _lead = -1  # the index of the term :func:`right_reduce` cancels: the highest
 
     @classmethod
     def _exponent(cls, context, e):
@@ -445,6 +450,10 @@ class _TermPoly:
         return self.__class__(
             self.context, twisted_product(self.context, self.terms, other.terms)
         )
+
+    def _times_term(self, s: RingElement, k: int):
+        """``self * (s X^k)``, the right multiple a reduction step subtracts."""
+        return self * self.monomial(self.context, s, k)
 
     def __bool__(self):
         return bool(self.terms)
@@ -594,10 +603,10 @@ def nucleus_falsify(sample, xn, n: int, trials: int, seed: int) -> CheckReport:
     def trial(rng):
         p = sample(rng)
         q = sample(rng)
-        middle = (p * xn) * q - p * (xn * q)
-        right = (p * q) * xn - p * (q * xn)
-        if middle.terms or right.terms:
-            slot = "middle" if middle.terms else "right"
+        middle = poly_associator(p, xn, q)
+        right = poly_associator(p, q, xn)
+        if not (middle.is_zero() and right.is_zero()):
+            slot = "right" if middle.is_zero() else "middle"
             return f"slot={slot}, p={p}, q={q}", f"X^{n} fell out of the {slot} nucleus"
 
     return falsify(f"nucleus:X^{n}", trials, seed, trial)
@@ -642,6 +651,9 @@ def polynomial_part(p: LaurentPoly) -> tuple[LaurentPoly, int]:
 
 @dataclass(frozen=True)
 class ReductionStep:
+    """One cancellation: ``generators[generator_index] * (multiplier
+    X^shift)`` was subtracted."""
+
     generator_index: int
     shift: int
     multiplier: RingElement
@@ -649,59 +661,71 @@ class ReductionStep:
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    """Record of right-division steps: each one subtracted
-    ``generator * (multiplier X^shift)``. Replaying against the same
-    generator list reconstructs the dividend exactly."""
+    """Record of right-division steps. Replaying against the same generator
+    list reconstructs the dividend exactly."""
 
     steps: tuple[ReductionStep, ...]
     remainder: OrePoly
 
     def replay(self, generators) -> OrePoly:
-        ctx = self.remainder.context
-        acc = OrePoly.zero(ctx)
-        for step in self.steps:
-            g = generators[step.generator_index]
-            acc = acc + g * OrePoly.monomial(ctx, step.multiplier, step.shift)
-        return acc + self.remainder
+        return replay_reduction(generators, self.steps, self.remainder)
+
+
+def replay_reduction(generators, steps, remainder):
+    """Rebuild ``remainder + sum_i g_(idx_i) * (k_i X^(shift_i))``, for
+    polynomials and series windows alike."""
+    generators = list(generators)
+    for step in steps:
+        g = generators[step.generator_index]
+        remainder = remainder + g._times_term(step.multiplier, step.shift)
+    return remainder
+
+
+def right_reduce(work, generators, what: str, most=None):
+    """``(steps, remainder)``: cancel the lead term ``r X^e`` of ``work`` (a
+    polynomial's highest, a window's lowest) until it is zero (exhausted),
+    no generator fits, or ``most`` steps are taken. Each step uses the first
+    generator ``g`` whose lead term ``c X^d`` has ``d <= e``: ``g * (s
+    X^(e-d))`` leads with ``c sigma^d(s) X^e`` (the top Ore entry ``pi_d^d``
+    is ``sigma^d``), so ``s = sigma^(-d)(c^(-1) r)`` cancels ``r X^e``. The
+    gate comes first; ``what`` names the procedure in its refusals.
+    """
+    ctx = work.context
+    if not is_associative_division_ring(ctx.ring):
+        raise UnsupportedDescriptor(
+            f"{what} needs an associative division coefficient ring"
+        )
+    if not ctx.sigma.has_inverse:
+        raise NoInverse(f"{what} needs an invertible sigma")
+    generators = list(generators)
+    for g in generators:
+        work._require_same_context(g)
+    steps = []
+    while work.terms and len(steps) != most:
+        e, r = work.terms[work._lead]
+        fits = (i for i, g in enumerate(generators) if g and g.terms[g._lead][0] <= e)
+        idx = next(fits, None)
+        if idx is None:
+            break
+        g = generators[idx]
+        d, c = g.terms[g._lead]
+        s = power_apply(ctx.sigma, -d, c.inverse() * r)
+        work = work - g._times_term(s, e - d)
+        if work.terms and work.terms[work._lead][0] == e:
+            raise AssertionError(f"{what} failed to cancel the lead term")
+        steps.append(ReductionStep(idx, e - d, s))
+    return steps, work
 
 
 def right_divide(p: OrePoly, generators) -> ReductionTrace:
     """Greedy highest-degree cancellation of ``p`` by right multiples of the
-    generators, over an associative division coefficient ring.
-
-    While ``deg p >= d_min``, the first generator ``g`` with ``deg g = d <=
-    n = deg p`` is used: with ``c = lc(g)`` and ``r = lc(p)``, the multiplier
-    ``s = sigma^(-d)(c^(-1) r)`` makes ``g * (s X^(n-d))`` match the leading
-    term, so each step strictly lowers the degree. Terminates with a
-    remainder of degree below the least generator degree.
+    generators (:func:`right_reduce`). Each step strictly lowers the degree,
+    so it ends with a remainder of degree below the least generator degree.
     """
-    ctx = p.context
-    if not is_associative_division_ring(ctx.ring):
-        raise UnsupportedDescriptor(
-            "right division needs an associative division coefficient ring"
-        )
-    if not ctx.sigma.has_inverse:
-        raise NoInverse("right division needs an invertible sigma")
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
-    for g in generators:
-        if g.is_zero():
-            raise ValueError("generators must be nonzero")
-        p._require_same_context(g)
-    min_deg = min(g.degree() for g in generators)
-    steps = []
-    work = p
-    while work.terms and work.degree() >= min_deg:
-        n = work.degree()
-        r = work.leading_coefficient()
-        idx = next(i for i, g in enumerate(generators) if g.degree() <= n)
-        g = generators[idx]
-        d = g.degree()
-        c = g.leading_coefficient()
-        s = power_apply(ctx.sigma, -d, c.inverse() * r)
-        work = work - g * OrePoly.monomial(ctx, s, n - d)
-        steps.append(ReductionStep(idx, n - d, s))
-        if work.terms and work.degree() >= n:
-            raise AssertionError("right division failed to reduce the degree")
-    return ReductionTrace(tuple(steps), work)
+    if not all(generators):
+        raise ValueError("generators must be nonzero")
+    steps, remainder = right_reduce(p, generators, "right division")
+    return ReductionTrace(tuple(steps), remainder)

@@ -336,6 +336,38 @@ def test_nested_cayley_dickson_ring_is_refused(capsys, cfg):
     assert "basis names would collide" in err
 
 
+@pytest.mark.parametrize(
+    ("level", "base", "name"),
+    [
+        (2, {"poly1": {"variable": "i"}}, "i"),
+        (1, {"poly2": {"variables": ["Y", "e1"]}}, "e1"),
+        (3, {"jordan_plus": {"base": {"poly1": {"variable": "k"}}}}, "k"),
+    ],
+    ids=["level2-poly1-i", "level1-poly2-e1", "level3-jordan-poly1-k"],
+)
+def test_cayley_dickson_refuses_a_variable_named_like_a_unit(capsys, cfg, level,
+                                                             base, name):
+    config = {
+        "ring": {"cayley_dickson": {"level": level, "base": base}},
+        "sigma": {"kind": "identity"},
+        "structure": "ore",
+    }
+    code, out, err = run(capsys, ["eval", "--config", cfg(config), "i*j"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"polynomial variable named {name!r}: it names a unit" in err
+
+
+def test_cayley_dickson_level_one_over_a_variable_j_loads(capsys, cfg):
+    config = {
+        "ring": {"cayley_dickson": {"level": 1, "base": {"poly1": {"variable": "j"}}}},
+        "sigma": {"kind": "conjugation"},
+        "structure": "ore",
+    }
+    code, out, err = run(capsys, ["eval", "--config", cfg(config), "(j + i)*(j - i)"])
+    assert (code, out, err) == (0, "1 + j^2\n", "")
+
+
 def test_divide_requires_ore(capsys, cfg):
     code, _, err = run(capsys, ["divide", "--config", cfg(SIGMA2), "X", "i"])
     assert code == 2 and "ore structure" in err

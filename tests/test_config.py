@@ -49,6 +49,33 @@ def test_cayley_dickson_over_named_units_is_refused(base):
         parse_descriptor({"cayley_dickson": {"level": 1, "base": base}})
 
 
+@pytest.mark.parametrize(
+    ("level", "base"),
+    [
+        (0, {"poly1": {"variable": "e0"}}),
+        (1, {"poly1": {"variable": "i"}}),
+        (1, {"poly2": {"variables": ["Y", "e1"]}}),
+        (2, {"poly1": {"variable": "i"}}),
+        (2, {"poly2": {"variables": ["j", "Z"]}}),
+        (2, {"jordan_plus": {"base": {"poly1": {"variable": "k"}}}}),
+        (3, {"poly1": {"variable": "e7"}}),
+        (4, {"poly1": {"variable": "e15"}}),
+    ],
+)
+def test_cayley_dickson_over_a_variable_named_like_a_unit_is_refused(level, base):
+    with pytest.raises(ConfigError, match="it names a unit"):
+        parse_descriptor({"cayley_dickson": {"level": level, "base": base}})
+
+
+@pytest.mark.parametrize(
+    ("level", "name"), [(0, "i"), (1, "j"), (1, "k"), (1, "e2"), (2, "e4"), (3, "e8")]
+)
+def test_cayley_dickson_over_a_variable_outside_its_units_loads(level, name):
+    base = {"poly1": {"variable": name}}
+    descriptor = {"cayley_dickson": {"level": level, "base": base}}
+    assert parse_descriptor(descriptor) == CayleyDickson(level, Poly1(name))
+
+
 def test_cayley_dickson_over_unnamed_bases_still_loads():
     level0 = {"cayley_dickson": {"level": 0}}
     assert parse_descriptor({"cayley_dickson": {"level": 2, "base": level0}}) == (

@@ -1,11 +1,13 @@
 """Truncated series tests: precision bookkeeping, products, reduction steps."""
 
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewlab.config import load_session
 from skewlab.maps import (
     ConjugationMap,
     FormalDerivative,
@@ -28,14 +30,15 @@ from skewlab.rings import (
     zero,
 )
 from skewlab.series import (
-    SeriesReduceStep,
     TruncatedSeries,
     agree_below,
+    poly_times_series,
     random_series,
     replay_reduction,
     series_mul,
     series_reduce_chain,
     series_reduce_step,
+    series_times_poly,
     shift_scale,
 )
 from skewlab.skewpoly import (
@@ -44,6 +47,8 @@ from skewlab.skewpoly import (
     LaurentPoly,
     OreContext,
     OrePoly,
+    ReductionStep,
+    poly_class,
     random_poly,
 )
 
@@ -191,7 +196,7 @@ def test_reduce_step_rational_example():
     q = TruncatedSeries.from_terms(ctx, [(2, one_el), (3, one_el)], 8)
     g = TruncatedSeries.from_terms(ctx, [(2, one_el)], 8)
     q2, step = series_reduce_step(q, [g])
-    assert step == SeriesReduceStep(0, one_el, 0)
+    assert step == ReductionStep(generator_index=0, shift=0, multiplier=one_el)
     assert q2.order() == 3
     assert agree_below(replay_reduction([g], [step], q2), q, q2.precision)
 
@@ -422,3 +427,81 @@ def test_window_arithmetic_matches_dense_reference(name, data):
         assert agree_below(a, a + (b - b), bound)
     with pytest.raises(ValueError):
         agree_below(a, b, shared + 1)
+
+
+# Every window operation against the canonicalising path: each result must be
+# the window ``from_terms`` builds from the raw terms, and canonical.
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+_QUATERNION = {
+    "ring": {"cayley_dickson": {"level": 2}},
+    "sigma": {"kind": "conjugation"},
+    "precision": 8,
+}
+# The shipped series config, the benchmark's two and the one CI evaluates.
+SERIES_CONFIGS = {
+    "rational-power": CONFIGS / "rational_power_series.json",
+    "quaternion-power": {**_QUATERNION, "structure": "power_series"},
+    "quaternion-laurent": {**_QUATERNION, "structure": "laurent_series"},
+    "complex-sigma2-laurent": {
+        "ring": {"cayley_dickson": {"level": 1}},
+        "sigma": {"kind": "sigma_q_complex", "q": "2"},
+        "structure": "laurent_series",
+        "precision": 4,
+    },
+}
+
+
+def assert_canonical(window, power):
+    exponents = [e for e, _ in window.terms]
+    assert isinstance(window.terms, tuple)
+    assert exponents == sorted(set(exponents))
+    assert all(not c.is_zero() for _, c in window.terms)
+    assert all(e < window.precision for e in exponents)
+    if power:
+        assert window.start >= 0
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_CONFIGS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_window_operations_are_canonical_and_match_from_terms(name, data):
+    session = load_session(SERIES_CONFIGS[name])
+    ctx = session.target.context
+    power = session.structure == "power_series"
+    low = 0 if power else -4
+    cls = poly_class(ctx)
+    # a few values and their negatives, so repeated exponents cancel often
+    pool = [random_element(ctx.ring, Random(i)) for i in range(3)]
+    pool += [-c for c in pool]
+    raw = st.lists(st.tuples(st.integers(low, 9), st.sampled_from(pool)), max_size=6)
+    precisions = st.integers(1 if power else -3, 8)
+
+    def window(pairs, precision):
+        return TruncatedSeries.from_terms(ctx, pairs, precision)
+
+    a = window(data.draw(raw), data.draw(precisions))
+    b = window(data.draw(raw), data.draw(precisions))
+    p = cls.from_terms(ctx, data.draw(raw))
+    precision = data.draw(precisions)
+    cut = data.draw(st.integers(low, a.precision))
+    k = data.draw(st.sampled_from(pool))
+    shift = data.draw(st.integers(0 if power else -3, 3))
+    poly_a, poly_b = cls.from_terms(ctx, a.terms), cls.from_terms(ctx, b.terms)
+    shared = min(a.precision, b.precision)
+    by_p = a.precision + p.order() if p else a.precision
+    cases = [
+        (TruncatedSeries.from_poly(p, precision), window(p.terms, precision)),
+        (a.truncate(cut), window(a.terms, cut)),
+        (a + b, window(a.terms + b.terms, shared)),
+        (a - b, window(a.terms + tuple((e, -c) for e, c in b.terms), shared)),
+        (a * b, window((poly_a * poly_b).terms,
+                       min(a.precision + b.start, b.precision + a.start))),
+        (series_times_poly(a, p), window((poly_a * p).terms, by_p)),
+        (poly_times_series(p, a), window((p * poly_a).terms, by_p)),
+        (shift_scale(a, k, shift), window((poly_a * cls.monomial(ctx, k, shift)).terms,
+                                          a.precision + shift)),
+    ]
+    for got, expected in cases:
+        assert got == expected
+        assert_canonical(got, power)
