@@ -17,7 +17,7 @@ from .config import ConfigError, Session, load_session
 from .expr import SERIES_STRUCTURES
 from .noetherian import CounterexampleConfig, counterexample_witness
 from .rings import NotInvertible
-from .skewpoly import right_divide
+from .skewpoly import poly_associator, right_divide
 from .suites import SUITE_NAMES, run_suite
 
 _USER_ERRORS = (ValueError, NotInvertible)
@@ -142,7 +142,7 @@ def _cmd_associator(args) -> int:
     a = session.evaluate(args.a)
     b = session.evaluate(args.b)
     c = session.evaluate(args.c)
-    value = (a * b) * c - a * (b * c)
+    value = poly_associator(a, b, c)
     if args.format == "json":
         _emit_json(
             _value_payload("associator", session, [args.a, args.b, args.c], value)

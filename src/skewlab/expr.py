@@ -647,7 +647,7 @@ def _poly_leaf(target: EvalTarget):
         if isinstance(node, OTail):
             if structure not in SERIES_STRUCTURES:
                 raise EvalError("the O(X^p) marker belongs to series structures")
-            return TruncatedSeries.zero_window(ctx, node.precision)
+            return TruncatedSeries.zero(ctx, node.precision)
         return cls.constant(ctx, element_leaf(node))
 
     return leaf

@@ -26,6 +26,7 @@ from .reports import CheckReport
 from .rings import (
     Poly2,
     RingElement,
+    draw,
     element,
     monomial_element,
     monomial_ideal_member,
@@ -76,7 +77,10 @@ class CounterexampleConfig:
             "multiplier_degree_bound",
             "coefficient_degree_bound",
         ):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
 
 
@@ -156,8 +160,8 @@ def _random_coefficient(rng: Random, bound: int, low: int = 0) -> RingElement:
     one to three terms, each a multiple of Y."""
     terms = random_terms(
         rng,
-        lambda r: (r.randint(low, bound), r.randint(0, bound)),
-        lambda r: Fraction(r.randint(-9, 9)),
+        lambda r: (draw(r, low, bound), draw(r, 0, bound)),
+        lambda r: Fraction(draw(r, -9, 9)),
         3,
         low,
     )

@@ -197,8 +197,38 @@ class RingDescriptor:
         return _join_terms(self.render_terms(a))
 
 
+def draw(rng: Random, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)``: the same value from the same stream position,
+    for ``Random`` and subclasses that keep its ``getrandbits``. With ``n =
+    hi - lo + 1`` it is ``lo`` plus the first ``rng.getrandbits(n.bit_length())``
+    below ``n``, as CPython's ``_randbelow_with_getrandbits`` draws it, minus
+    ``randint``'s argument handling. An empty range raises ``ValueError``
+    before anything is drawn. The library draws every integer through here."""
+    n = hi - lo + 1
+    if n <= 0:
+        raise ValueError(f"empty range for draw({lo}, {hi})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
+def _draw_ratio(rng: Random) -> tuple[int, int]:
+    """``(draw(rng, -9, 9), draw(rng, 1, 9))`` with the widths written out:
+    19 values take 5 bits, 9 values take 4."""
+    bits = rng.getrandbits
+    n = bits(5)
+    while n >= 19:
+        n = bits(5)
+    d = bits(4)
+    while d >= 9:
+        d = bits(4)
+    return n - 9, d + 1
+
+
 def _sample_fraction(rng: Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return Fraction(*_draw_ratio(rng))
 
 
 def _fraction_sum(ratios) -> Fraction:
@@ -497,10 +527,7 @@ class _Coordinates(RingDescriptor):
 
     def sample_value(self, rng):
         if isinstance(self.base, Rationals):
-            # The draws of _sample_fraction, coordinate by coordinate.
-            return _vec_from_ratios(
-                [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(self.dim)]
-            )
+            return _vec_from_ratios([_draw_ratio(rng) for _ in range(self.dim)])
         return tuple([self.base.sample_value(rng) for _ in range(self.dim)])
 
 
@@ -755,7 +782,7 @@ class Poly1(_PolyRing):
 
     @staticmethod
     def _sample_exponent(rng):
-        return rng.randint(0, 4)
+        return draw(rng, 0, 4)
 
     def _exponent_text(self, e):
         return _var_power(self.variable, e)
@@ -788,7 +815,7 @@ class Poly2(_PolyRing):
 
     @staticmethod
     def _sample_exponent(rng):
-        return (rng.randint(0, 3), rng.randint(0, 3))
+        return (draw(rng, 0, 3), draw(rng, 0, 3))
 
     def _exponent_text(self, exps):
         pieces = (_var_power(v, e) for v, e in zip(self.variables, exps))
@@ -1022,7 +1049,7 @@ def random_element(descriptor: RingDescriptor, rng: Random) -> RingElement:
 def random_terms(rng: Random, first, second, most: int = 3, least: int = 0):
     """A count drawn from ``least..most``, then that many pairs, each drawn
     ``first(rng)`` before ``second(rng)``: the library's one term loop."""
-    return [(first(rng), second(rng)) for _ in range(rng.randint(least, most))]
+    return [(first(rng), second(rng)) for _ in range(draw(rng, least, most))]
 
 
 def is_associative_division_ring(descriptor: RingDescriptor) -> bool:

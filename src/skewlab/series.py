@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from random import Random
 
-from .rings import RingElement, one, random_element, random_terms, sum_terms, zero
+from .rings import RingElement, draw, one, random_element, random_terms, sum_terms, zero
 from .skewpoly import (  # replay_reduction is re-exported
     LaurentContext,
     OreContext,
@@ -83,13 +83,26 @@ class TruncatedSeries(_TermPoly):
         _validate_series_context(p.context)
         return cls._window(p.context, p.terms, precision)
 
+    # The polynomial constructors, each with the window's precision.
     @classmethod
-    def zero_window(cls, context, precision: int):
+    def zero(cls, context, precision: int):
         return cls.from_terms(context, (), precision)
 
     @classmethod
+    def constant(cls, context, coeff: RingElement, precision: int):
+        return cls.monomial(context, coeff, 0, precision)
+
+    @classmethod
     def one(cls, context, precision: int):
-        return cls.from_terms(context, [(0, one(context.ring))], precision)
+        return cls.constant(context, one(context.ring), precision)
+
+    @classmethod
+    def monomial(cls, context, coeff: RingElement, exponent: int, precision: int):
+        return cls.from_terms(context, [(exponent, coeff)], precision)
+
+    @classmethod
+    def x(cls, context, exponent: int, precision: int):
+        return cls.monomial(context, one(context.ring), exponent, precision)
 
     @property
     def start(self) -> int:
@@ -173,7 +186,7 @@ def poly_times_series(p, s: TruncatedSeries) -> TruncatedSeries:
     """Exact polynomial (left) times series: known below ``s.precision +
     order(p)`` since every contributing left factor is exact."""
     if p.is_zero():
-        return TruncatedSeries.zero_window(s.context, s.precision)
+        return TruncatedSeries.zero(s.context, s.precision)
     return _exact_below(s.context, p.terms, s.terms, s.precision + p.order())
 
 
@@ -181,7 +194,7 @@ def series_times_poly(s: TruncatedSeries, p) -> TruncatedSeries:
     """Series times exact polynomial (right): known below ``s.precision +
     order(p)``, each right term acting as in :func:`shift_scale`."""
     if p.is_zero():
-        return TruncatedSeries.zero_window(s.context, s.precision)
+        return TruncatedSeries.zero(s.context, s.precision)
     return _exact_below(s.context, s.terms, p.terms, s.precision + p.order())
 
 
@@ -219,7 +232,7 @@ def agree_below(a: TruncatedSeries, b: TruncatedSeries, bound: int) -> bool:
 def random_series(ctx, rng: Random, precision: int) -> TruncatedSeries:
     terms = random_terms(
         rng,
-        lambda r: r.randint(0, precision - 1),
+        lambda r: draw(r, 0, precision - 1),
         lambda r: random_element(ctx.ring, r),
     )
     return TruncatedSeries.from_terms(ctx, terms, precision)

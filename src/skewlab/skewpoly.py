@@ -87,6 +87,7 @@ from .rings import (
     UnsupportedDescriptor,
     _join_terms,
     _var_power,
+    draw,
     is_associative_division_ring,
     labeled_terms,
     one,
@@ -575,8 +576,8 @@ def random_poly(ctx, rng: Random, bounds=None, most: int = 3):
 
     def exponent(r):
         if cls is MultiLaurentPoly:
-            return tuple(r.randint(lo, hi) for _ in ctx.sigmas)
-        return r.randint(lo, hi)
+            return tuple(draw(r, lo, hi) for _ in ctx.sigmas)
+        return draw(r, lo, hi)
 
     terms = random_terms(rng, exponent, lambda r: random_element(ctx.ring, r), most)
     return cls.from_terms(ctx, terms)

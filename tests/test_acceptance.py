@@ -261,7 +261,7 @@ def test_c09_series():
                     for _ in range(rng.randint(0, 2))
                 ]
                 gens.append(TruncatedSeries.from_terms(sctx, [(d, lead)] + extra, 8))
-            q = TruncatedSeries.zero_window(sctx, 8)
+            q = TruncatedSeries.zero(sctx, 8)
             for g in gens:
                 q = q + shift_scale(
                     g, random_element(ring, rng), rng.randint(0, 2)

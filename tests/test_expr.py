@@ -217,7 +217,7 @@ def test_o_tail_rules():
     with pytest.raises(ExprError):
         parse("1 + O(X^8)", ExprProfile("ore", P1))
     alone = evaluate(parse("O(X^5)", profile), series_target())
-    assert alone == TruncatedSeries.zero_window(series_target().context, 5)
+    assert alone == TruncatedSeries.zero(series_target().context, 5)
     negative = parse("1 + O(X^-1)", ExprProfile("laurent_series", RATIONALS))
     assert negative == Bin("+", Lit(Fraction(1)), OTail(-1))
 

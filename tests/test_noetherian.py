@@ -134,3 +134,5 @@ def test_config_validation():
         CounterexampleConfig(0, 10, 1, 1)
     with pytest.raises(ValueError):
         CounterexampleConfig(1, 0, 1, 1)
+    with pytest.raises(ValueError, match="coefficient_degree_bound must be an integer"):
+        CounterexampleConfig(1, 10, 1, 2.5)

@@ -139,7 +139,7 @@ def test_order_and_leading_coefficient():
     s = TruncatedSeries.from_terms(ctx, [(3, one_el), (5, one_el)], 10)
     assert s.order() == 3
     assert s.leading_coefficient() == one_el
-    zw = TruncatedSeries.zero_window(ctx, 10)
+    zw = TruncatedSeries.zero(ctx, 10)
     assert zw.order() is None
     with pytest.raises(ValueError):
         zw.leading_coefficient()
@@ -233,7 +233,7 @@ def test_reduce_chain_replay_reconstructs():
                     TruncatedSeries.from_terms(ctx, [(d, lead)] + extra, 8)
                 )
             # build q inside the right ideal so the chain can exhaust it
-            q = TruncatedSeries.zero_window(ctx, 8)
+            q = TruncatedSeries.zero(ctx, 8)
             for g in gens:
                 k = random_element(ring, rng)
                 q = q + shift_scale(g, k, rng.randint(0, 2)).truncate(8)
@@ -258,7 +258,7 @@ def test_reduce_step_errors():
     with pytest.raises(ValueError):
         series_reduce_step(q, [high])
     with pytest.raises(ValueError):
-        series_reduce_step(TruncatedSeries.zero_window(ctx, 6), [high])
+        series_reduce_step(TruncatedSeries.zero(ctx, 6), [high])
     pctx = LaurentContext(P1, IdentityMap(P1))
     pq = TruncatedSeries.from_terms(pctx, [(1, one(P1))], 6)
     with pytest.raises(UnsupportedDescriptor):
@@ -284,7 +284,37 @@ def test_series_rendering():
     one_el = one(RATIONALS)
     s = TruncatedSeries.from_terms(ctx, [(0, one_el), (2, -one_el)], 5)
     assert str(s) == "1 - X^2 + O(X^5)"
-    assert str(TruncatedSeries.zero_window(ctx, 5)) == "O(X^5)"
+    assert str(TruncatedSeries.zero(ctx, 5)) == "O(X^5)"
+
+
+def test_window_constructors_take_a_precision():
+    ctx = sigma2_ctx()
+    i = basis_element(COMPLEX_Q, 1)
+    built = {
+        "zero": TruncatedSeries.zero(ctx, 4),
+        "one": TruncatedSeries.one(ctx, 4),
+        "constant": TruncatedSeries.constant(ctx, i, 4),
+        "monomial": TruncatedSeries.monomial(ctx, i, -2, 4),
+        "x": TruncatedSeries.x(ctx, 2, 4),
+        "x beyond": TruncatedSeries.x(ctx, 5, 4),
+        "zero constant": TruncatedSeries.constant(ctx, zero(COMPLEX_Q), 4),
+    }
+    expected = {
+        "zero": [],
+        "one": [(0, one(COMPLEX_Q))],
+        "constant": [(0, i)],
+        "monomial": [(-2, i)],
+        "x": [(2, one(COMPLEX_Q))],
+        "x beyond": [],
+        "zero constant": [],
+    }
+    for name, window in built.items():
+        assert window == TruncatedSeries.from_terms(ctx, expected[name], 4), name
+        assert window.precision == 4, name
+    assert str(built["monomial"]) == "i*X^-2 + O(X^4)"
+    assert str(built["x beyond"]) == "O(X^4)"
+    with pytest.raises(ValueError, match="start at exponent 0"):
+        TruncatedSeries.x(power_q_ctx(), -1, 4)
 
 
 # Dense reference for window arithmetic: one coefficient per exponent in
