@@ -189,14 +189,19 @@ class QuantumTorusSigma(TwistMap):
         if not isinstance(domain, Poly1):
             raise DescriptorMismatch("quantum torus sigma lives on Poly1")
         self.q = q
+        self.q_inverse = 1 / q
         super().__init__(domain, _BIJECTION_CLAIMS | {MULTIPLICATIVE}, True)
 
     def value(self, v):
-        return tuple([(e, c * self.q**e) for e, c in v])
+        return self._scale_powers(v, self.q)
 
     def inverse_value(self, v):
-        q = 1 / self.q
-        return tuple([(e, c * q**e) for e, c in v])
+        return self._scale_powers(v, self.q_inverse)
+
+    def _scale_powers(self, v, q):
+        """``v`` with its ``Y^e`` coefficient scaled by ``q**e``."""
+        n, d = q.as_integer_ratio()
+        return self.domain.map_terms(v, lambda e: (e, n**e, d**e))
 
 
 class FormalDerivative(TwistMap):
@@ -208,8 +213,7 @@ class FormalDerivative(TwistMap):
         super().__init__(domain, {ADDITIVE, ANNIHILATES_ONE}, False)
 
     def value(self, v):
-        # Exponents stay distinct and ascending, and no coefficient vanishes.
-        return tuple([(e - 1, c * e) for e, c in v if e])
+        return self.domain.map_terms(v, lambda e: (e - 1, e, 1) if e else None)
 
 
 class CoefficientDoubler(TwistMap):
@@ -224,10 +228,10 @@ class CoefficientDoubler(TwistMap):
         super().__init__(domain, _BIJECTION_CLAIMS, True)
 
     def value(self, v):
-        return tuple([(e, c * 2 if e == 1 else c) for e, c in v])
+        return self.domain.map_terms(v, lambda e: (e, 2, 1) if e == 1 else (e, 1, 1))
 
     def inverse_value(self, v):
-        return tuple([(e, c / 2 if e == 1 else c) for e, c in v])
+        return self.domain.map_terms(v, lambda e: (e, 1, 2) if e == 1 else (e, 1, 1))
 
 
 def _cantor_pair(a: int, b: int) -> int:
@@ -287,11 +291,12 @@ class CounterexampleSigma(TwistMap):
         return (0, 2 * (_cantor_pair((a - 1) // 2, b) + 1))
 
     def value(self, v):
-        # The images of the monomials come in another order: canon sorts.
-        return self.domain.canon([(self.image_exponents(*e), c) for e, c in v])
+        image = self.image_exponents
+        return self.domain.map_terms(v, lambda e: (image(*e), 1, 1))
 
     def inverse_value(self, v):
-        return self.domain.canon([(self.preimage_exponents(*e), c) for e, c in v])
+        preimage = self.preimage_exponents
+        return self.domain.map_terms(v, lambda e: (preimage(*e), 1, 1))
 
 
 class TransposeMap(TwistMap):

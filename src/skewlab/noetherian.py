@@ -18,7 +18,6 @@ generated by Y^2 -- and Y is not in that ideal, which is the whole point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from random import Random
 
 from .maps import CounterexampleSigma, ZeroMap
@@ -161,7 +160,7 @@ def _random_coefficient(rng: Random, bound: int, low: int = 0) -> RingElement:
     terms = random_terms(
         rng,
         lambda r: (draw(r, low, bound), draw(r, 0, bound)),
-        lambda r: Fraction(draw(r, -9, 9)),
+        lambda r: draw(r, -9, 9),
         3,
         low,
     )
@@ -190,6 +189,15 @@ def _random_multiplier(ctx, rng: Random, cfg: CounterexampleConfig) -> OrePoly:
     return _random_ore(ctx, rng, cfg, cfg.multiplier_degree_bound) or OrePoly.one(ctx)
 
 
+# How a violation writes each shape of left combination, factors left to
+# right; only violations are rendered.
+_SHAPES = {
+    "s*p": "({})*({})",
+    "t1*(t2*p)": "({})*(({})*({}))",
+    "(t1*t2)*p": "(({})*({}))*({})",
+}
+
+
 def counterexample_witness(cfg: CounterexampleConfig) -> WitnessReport:
     """Sample left combinations of ideal members and check that every term of
     degree >= m+1 has its coefficient inside (Y^2); both association orders
@@ -206,22 +214,19 @@ def counterexample_witness(cfg: CounterexampleConfig) -> WitnessReport:
         p = _random_ideal_generator(ctx, rng, cfg)
         shape = rng.choice(("s*p", "t1*(t2*p)", "(t1*t2)*p"))
         if shape == "s*p":
-            s = _random_multiplier(ctx, rng, cfg)
-            product = s * p
-            description = f"({s})*({p})"
+            factors = (_random_multiplier(ctx, rng, cfg),)
+            product = factors[0] * p
         else:
-            t1 = _random_multiplier(ctx, rng, cfg)
-            t2 = _random_multiplier(ctx, rng, cfg)
-            if shape == "t1*(t2*p)":
-                product = t1 * (t2 * p)
-                description = f"({t1})*(({t2})*({p}))"
-            else:
-                product = (t1 * t2) * p
-                description = f"(({t1})*({t2}))*({p})"
+            t1, t2 = factors = (
+                _random_multiplier(ctx, rng, cfg),
+                _random_multiplier(ctx, rng, cfg),
+            )
+            product = t1 * (t2 * p) if shape == "t1*(t2*p)" else (t1 * t2) * p
         for e, c in product.terms:
             if e >= critical:
                 report.vacuous = False
                 if not monomial_ideal_member(c, [y2]):
+                    description = _SHAPES[shape].format(*factors, p)
                     violations.append(Violation(description, e, str(c)))
     report.violations = sorted(
         violations, key=lambda v: (v.term_degree, v.coefficient, v.description)

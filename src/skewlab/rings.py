@@ -8,7 +8,7 @@ that structural equality coincides with mathematical equality:
 * ``CayleyDickson``  -- ``2**level`` coordinates (see below)
 * ``JordanPlus``     -- the wrapped base value itself (the product changes,
   the carrier does not)
-* ``Poly1``          -- sorted tuple of ``(exponent, Fraction)``, no zero terms
+* ``Poly1``          -- ``(exponents, numerators, den)`` (see below)
 * ``Poly2``          -- the same with ``(e1, e2)`` exponent pairs
 * ``Matrix``         -- ``n*n`` coordinates (see below)
 
@@ -26,12 +26,20 @@ base, 1 the complexes, 2 the quaternions, 3 the octonions, 4 the sedenions. A
 matrix lists its entries in row-major order, and :meth:`Matrix.rows` reads
 them back by rows.
 
-Sparse term lists are one carrier from here up: ``Poly1`` and ``Poly2`` (one
-``_PolyRing`` implementation; only the exponent differs) and the twisted
-polynomials of :mod:`skewlab.skewpoly`. One canonicaliser, :func:`sum_terms`,
-gives all of them their form, and one renderer, :func:`labeled_terms`, writes
-every "coefficient times label" term: a Cayley-Dickson unit, a monomial, a
-power of X.
+A ``Poly1`` or ``Poly2`` value is the tuple of the ascending exponents of its
+nonzero terms next to their coefficients as one such rational vector: the
+triple ``(exponents, numerators, den)``, no numerator zero. ``flat_terms``
+reads it back as ``(exponent, Fraction)`` terms, ``support`` gives the
+exponents, and the maps on these rings rebuild a value term by term through
+``map_terms``, so no code outside this module reads the layout.
+
+``Poly1`` and ``Poly2`` are one ``_PolyRing`` implementation; only the
+exponent differs. The twisted polynomials of :mod:`skewlab.skewpoly` are
+sparse term lists over any ring here: one canonicaliser, :func:`sum_terms`,
+gives them their form, and one renderer, :func:`labeled_terms`, writes every
+"coefficient times label" term whose coefficient is a ring value, such as a
+power of X or a Cayley-Dickson unit over a polynomial base. A rational
+coefficient is written by ``_ratio_text`` and labeled by ``_labeled``.
 
 Both products are read from a table of ``e_i * e_j = sign * e_k`` on the
 unit coordinates, built once per level or size. The Cayley-Dickson table is
@@ -45,12 +53,14 @@ A ring defines its product once, as a fused sum of products,
 in pairs)``. The product ``mul_values`` is the dot of one pair, and twisted
 products sum each output coefficient with one dot. Over the rationals the
 products are accumulated as integer numerators over one denominator, so a
-result costs one gcd (a Cayley-Dickson value or a matrix) or one
-``Fraction`` per coordinate (``Rationals`` and polynomial coefficients), not
-one per product. Sums, negations, scalings and samples of a Cayley-Dickson
-value or a matrix over the rationals are integer operations with at most one
-gcd each, and a transpose permutes the numerators. A Cayley-Dickson ring or a
-matrix ring over any other base makes one base dot per result coordinate.
+result costs one gcd (a Cayley-Dickson value, a matrix or a polynomial) or
+one ``Fraction`` (``Rationals``), not one per product. Sums, negations,
+scalings, samples and renderings of these values over the rationals are
+integer operations with at most one gcd per result (and one per printed
+coefficient); a transpose permutes the numerators. A ``Fraction`` is built
+only where a rational leaves the ring: ``scalar_of`` and the decoding
+accessors. A Cayley-Dickson ring or a matrix ring over any other base makes
+one base dot per result coordinate.
 
 :meth:`RingDescriptor.scalar_of` reads a value as a rational multiple of the
 unit when it is one. Every ring here is an algebra over the rationals, so a
@@ -108,8 +118,8 @@ def _join_terms(terms: tuple[tuple[int, str], ...]) -> str:
 
 def sum_terms(pairs) -> tuple:
     """The canonical sparse term list: coefficients summed per exponent,
-    zeros dropped, ascending exponents. Coefficients are ``Fraction`` or
-    :class:`RingElement`; both are false exactly when zero."""
+    zeros dropped, ascending exponents. Coefficients are
+    :class:`RingElement`s, false exactly when zero."""
     acc: dict = {}
     for e, c in pairs:
         acc[e] = acc[e] + c if e in acc else c
@@ -189,6 +199,11 @@ class RingDescriptor:
     def sample_value(self, rng: Random) -> Any:
         raise NotImplementedError
 
+    def basis_values(self) -> tuple:
+        """Values whose rational span holds every ``sample_value``, so that an
+        additive map is checked on all samples by checking it on these."""
+        raise NotImplementedError
+
     def render_terms(self, a: Any) -> tuple[tuple[int, str], ...]:
         """Canonical additive decomposition as (sign, magnitude-text) pairs."""
         raise NotImplementedError
@@ -231,16 +246,12 @@ def _sample_fraction(rng: Random) -> Fraction:
     return Fraction(*_draw_ratio(rng))
 
 
-def _fraction_sum(ratios) -> Fraction:
-    """``sum(n / d for n, d in ratios)``: integer numerators over the lcm of
-    the denominators, one ``Fraction`` in all."""
-    den = lcm(*[d for _, d in ratios])
-    return Fraction(sum([n * (den // d) for n, d in ratios]), den)
-
-
 def _rational_dot(pairs) -> Fraction:
+    """``sum(a*b for a, b in pairs)``: integer numerators over the lcm of the
+    denominators, one ``Fraction`` in all."""
     ratios = [(*a.as_integer_ratio(), *b.as_integer_ratio()) for a, b in pairs]
-    return _fraction_sum([(an * bn, ad * bd) for an, ad, bn, bd in ratios])
+    den = lcm(*[ad * bd for _, ad, _, bd in ratios])
+    return Fraction(sum([an * bn * (den // (ad * bd)) for an, ad, bn, bd in ratios]), den)
 
 
 # --- rational vectors: integer numerators over one denominator ----------------
@@ -265,8 +276,17 @@ def _vec_from_ratios(ratios) -> tuple:
     return _vec([n * (den // d) for n, d in ratios], den)
 
 
+def _integer_ratio(x) -> tuple[int, int]:
+    """``(n, d)`` with ``x == n / d`` and ``d > 0``, for what
+    :func:`as_rational` takes; an int or a ``Fraction`` builds no
+    ``Fraction``."""
+    if isinstance(x, (int, Fraction)):
+        return x.as_integer_ratio()
+    return as_rational(x).as_integer_ratio()
+
+
 def _vec_from_rationals(xs) -> tuple:
-    return _vec_from_ratios([as_rational(x).as_integer_ratio() for x in xs])
+    return _vec_from_ratios([_integer_ratio(x) for x in xs])
 
 
 def _vec_to_rationals(v) -> tuple[Fraction, ...]:
@@ -315,6 +335,25 @@ def _vec_bilinear(rows, pairs) -> tuple:
         - (sum([xs[i] * ys[j] for xs, ys in scaled for i, j in minus]) if minus else 0)
         for plus, minus in rows
     ], den)
+
+
+def _poly_from_ratios(ratios) -> tuple:
+    """The polynomial value ``sum(n/d * m)`` over the ``(m, n, d)`` of
+    ``ratios``, ``d > 0``: numerators brought to the lcm of the denominators
+    and summed per exponent."""
+    den = lcm(*[d for _, _, d in ratios])
+    acc: dict = {}
+    for e, n, d in ratios:
+        n *= den // d
+        acc[e] = acc[e] + n if e in acc else n
+    return _poly(acc, den)
+
+
+def _poly(acc: dict, den: int) -> tuple:
+    """The polynomial value with the coefficients ``acc[e] / den``, ``den >
+    0``: zero coefficients dropped, exponents ascending, one gcd."""
+    exps = sorted([e for e, n in acc.items() if n])
+    return (tuple(exps), *_vec([acc[e] for e in exps], den))
 
 
 def _vec_terms(v):
@@ -372,6 +411,9 @@ class Rationals(RingDescriptor):
         return a
 
     sample_value = staticmethod(_sample_fraction)
+
+    def basis_values(self):
+        return (Fraction(1),)
 
     def render_terms(self, a):
         n, d = a.as_integer_ratio()
@@ -530,6 +572,19 @@ class _Coordinates(RingDescriptor):
             return _vec_from_ratios([_draw_ratio(rng) for _ in range(self.dim)])
         return tuple([self.base.sample_value(rng) for _ in range(self.dim)])
 
+    def basis_values(self):
+        """The unit coordinates, times each basis value of a base other than
+        the rationals."""
+        dim = self.dim
+        if isinstance(self.base, Rationals):
+            return tuple([((0,) * k + (1,) + (0,) * (dim - k - 1), 1) for k in range(dim)])
+        z = self.base.zero_value()
+        return tuple([
+            (z,) * k + (b,) + (z,) * (dim - k - 1)
+            for k in range(dim)
+            for b in self.base.basis_values()
+        ])
+
 
 @dataclass(frozen=True)
 class CayleyDickson(_Coordinates):
@@ -670,6 +725,9 @@ class JordanPlus(RingDescriptor):
     def sample_value(self, rng):
         return self.base.sample_value(rng)
 
+    def basis_values(self):
+        return self.base.basis_values()
+
     def render_terms(self, a):
         return self.base.render_terms(a)
 
@@ -696,11 +754,13 @@ def _var_power(name: str, e: int) -> str:
 
 
 class _PolyRing(RingDescriptor):
-    """Commutative polynomials over the rationals: a sorted tuple of
-    ``(exponent, Fraction)`` terms, no zero terms. A subclass fixes the
-    exponent through four hooks: ``_exponent`` (validate), ``_add_exponents``,
-    ``_sample_exponent`` and ``_exponent_text``; ``_constant`` is the exponent
-    of the constants."""
+    """Commutative polynomials over the rationals. A value is the triple
+    ``(exponents, numerators, den)``: the ascending exponents of the nonzero
+    terms next to the rational vector ``(numerators, den)`` of their
+    coefficients, in the layout of the ``_vec`` helpers, so no numerator is
+    zero. A subclass fixes the exponent through four hooks: ``_exponent``
+    (validate), ``_add_exponents``, ``_sample_exponent`` and
+    ``_exponent_text``; ``_constant`` is the exponent of the constants."""
 
     @property
     def is_associative(self) -> bool:
@@ -711,55 +771,122 @@ class _PolyRing(RingDescriptor):
         return True
 
     def canon(self, raw):
+        """The value with the terms ``raw``: ``(exponent, coefficient)`` pairs
+        or an ``{exponent: coefficient}`` dict, coefficients as for
+        :func:`as_rational`. A value, which ends in its denominator where no
+        list of pairs ends in an int, is returned canonical."""
+        if type(raw) is tuple and len(raw) == 3 and type(raw[2]) is int:
+            exps, nums, den = raw
+            if den <= 0 or len(exps) != len(nums) or {type(n) for n in nums} - {int}:
+                raise ValueError(f"malformed value of {self}: {raw!r}")
+            return _poly_from_ratios(
+                [(self._exponent(e), n, den) for e, n in zip(exps, nums)]
+            )
         items = raw.items() if isinstance(raw, dict) else raw
-        return sum_terms((self._exponent(e), as_rational(c)) for e, c in items)
+        return _poly_from_ratios(
+            [(self._exponent(e), *_integer_ratio(c)) for e, c in items]
+        )
 
     def zero_value(self):
-        return ()
+        return (), (), 1
 
     def one_value(self):
-        return ((self._constant, Fraction(1)),)
+        return (self._constant,), (1,), 1
+
+    def flat_terms(self, a) -> tuple:
+        """The ``(exponent, Fraction)`` terms of ``a``, ascending."""
+        exps, nums, den = a
+        return tuple(zip(exps, _vec_to_rationals((nums, den))))
+
+    def support(self, a) -> tuple:
+        """The exponents of the nonzero terms of ``a``, ascending."""
+        return a[0]
+
+    def map_terms(self, a, rule):
+        """The value ``sum(w * c * m')`` over the terms ``c*m`` of ``a``, where
+        ``rule(m)`` is ``(m', wn, wd)`` for the nonzero rational weight ``w =
+        wn / wd``, ``wd > 0``, or ``None`` to drop the term: how the maps on a
+        polynomial ring read and rebuild a value."""
+        exps, nums, den = a
+        images = list(map(rule, exps))
+        if None in images:  # dropped terms
+            nums = [n for r, n in zip(images, nums) if r is not None]
+            images = [r for r in images if r is not None]
+        if not images:
+            return (), (), 1
+        new, wns, wds = zip(*images)
+        wden = lcm(*wds)
+        nums = [n * wn * (wden // wd) for n, wn, wd in zip(nums, wns, wds)]
+        if all(map(operator.lt, new, new[1:])):  # no two images meet
+            return (new, *_vec(nums, den * wden))
+        acc: dict = {}
+        for e, n in zip(new, nums):
+            acc[e] = acc.get(e, 0) + n
+        return _poly(acc, den * wden)
 
     def add_values(self, a, b):
-        return sum_terms(a + b)
+        ae, an, ad = a
+        be, bn, bd = b
+        if not be:
+            return a
+        if not ae:
+            return b
+        den = ad if ad == bd else lcm(ad, bd)
+        sa, sb = den // ad, den // bd
+        acc = dict(zip(ae, an if sa == 1 else [n * sa for n in an]))
+        for e, n in zip(be, bn):
+            n *= sb
+            acc[e] = acc[e] + n if e in acc else n
+        return _poly(acc, den)
 
     def neg_value(self, a):
-        return tuple((e, -c) for e, c in a)
+        exps, nums, den = a
+        return exps, tuple([-n for n in nums]), den
 
-    is_zero_value = staticmethod(operator.not_)
+    def is_zero_value(self, a):
+        return not a[0]
 
     def dot_values(self, pairs):
         add = self._add_exponents
-        groups = defaultdict(list)
-        for a, b in pairs:
-            right = [(e, *c.as_integer_ratio()) for e, c in b]
-            for e1, c1 in a:
-                n1, d1 = c1.as_integer_ratio()
-                for e2, n2, d2 in right:
-                    groups[add(e1, e2)].append((n1 * n2, d1 * d2))
-        return sum_terms((e, _fraction_sum(ps)) for e, ps in groups.items())
+        dens = [a[2] * b[2] for a, b in pairs]
+        den = lcm(*dens)
+        acc: dict = defaultdict(int)
+        for (a, b), d in zip(pairs, dens):
+            s = den // d
+            right = list(zip(b[0], b[1]))
+            for e1, n1 in zip(a[0], a[1]):
+                n1 *= s
+                for e2, n2 in right:
+                    acc[add(e1, e2)] += n1 * n2
+        return _poly(acc, den)
 
     def scale_value(self, a, q):
-        if q == 0:
-            return ()
-        return tuple((e, c * q) for e, c in a)
+        if not q:
+            return (), (), 1
+        exps, nums, den = a
+        qn, qd = q.as_integer_ratio()
+        return (exps, *_vec([n * qn for n in nums], den * qd))
 
     def scalar_of(self, a):
-        if len(a) == 1 and a[0][0] == self._constant:
-            return a[0][1]
-        return None if a else Fraction(0)
+        exps, nums, den = a
+        if not exps:
+            return Fraction(0)
+        return Fraction(nums[0], den) if exps == (self._constant,) else None
 
     def sample_value(self, rng):
         # Coefficient drawn before exponent; a repeated exponent keeps the last.
-        pairs = random_terms(rng, _sample_fraction, self._sample_exponent)
-        return self.canon({e: c for c, e in pairs})
+        last = {e: r for r, e in random_terms(rng, _draw_ratio, self._sample_exponent)}
+        return _poly_from_ratios([(e, *r) for e, r in last.items()])
 
     def render_terms(self, a):
+        exps, text = a[0], self._exponent_text
         return tuple(
-            term
-            for e, c in a
-            for term in labeled_terms(RATIONALS, c, self._exponent_text(e))
+            _labeled(sign, t, label) if (label := text(exps[i])) else (sign, t)
+            for i, sign, t in _vec_terms(a[1:])
         )
+
+    def basis_values(self) -> tuple:
+        return tuple([((e,), (1,), 1) for e in self._basis_exponents])
 
 
 @dataclass(frozen=True)
@@ -770,6 +897,7 @@ class Poly1(_PolyRing):
 
     _constant = 0
     _add_exponents = staticmethod(operator.add)
+    _basis_exponents = tuple(range(5))  # those the sampler draws
 
     def __post_init__(self):
         _variable(self.variable)
@@ -795,6 +923,7 @@ class Poly2(_PolyRing):
     variables: tuple[str, str] = ("Y", "Z")
 
     _constant = (0, 0)
+    _basis_exponents = tuple((a, b) for a in range(4) for b in range(4))
 
     def __post_init__(self):
         names = self.variables
@@ -1028,17 +1157,19 @@ def monomial_ideal_member(p: RingElement, generators: list[RingElement]) -> bool
     True iff every monomial of ``p`` is divisible by some generator; the zero
     polynomial belongs to every ideal.
     """
-    if not isinstance(p.descriptor, _PolyRing):
+    ring = p.descriptor
+    if not isinstance(ring, _PolyRing):
         raise UnsupportedDescriptor("monomial ideals live in polynomial rings")
     gen_exps = []
     for g in generators:
         p._require_same(g)
-        if len(g.value) != 1:
+        support = ring.support(g.value)
+        if len(support) != 1:
             raise ValueError(f"generator must be a monomial, got {g}")
-        gen_exps.append(_exponent_vector(g.value[0][0]))
+        gen_exps.append(_exponent_vector(support[0]))
     return all(
         any(all(x >= y for x, y in zip(_exponent_vector(e), ge)) for ge in gen_exps)
-        for e, _c in p.value
+        for e in ring.support(p.value)
     )
 
 

@@ -56,7 +56,10 @@ The sampled entry checks of :class:`LaurentContext` (inverse round trip) and
 :class:`IteratedLaurentContext` (commuting sigmas) draw from ``Random(0)``,
 so their outcome depends only on the ring and the maps. A passed check is
 cached on that key, with maps compared class-exactly, and is not rerun when
-an equal context is built again in the same process.
+an equal context is built again in the same process. An iterated context
+also checks each sigma's inverse round trip, not on samples but exactly, on
+the basis values of its ring (``RingDescriptor.basis_values``), whose span
+holds every sample.
 """
 
 from __future__ import annotations
@@ -158,6 +161,18 @@ def _check_round_trip(ring: RingDescriptor, sigma: TwistMap) -> None:
             raise ValueError(f"sigma inverse round trip failed at {a}")
 
 
+def _check_basis_round_trip(ring: RingDescriptor, sigma: TwistMap, index: int) -> None:
+    """Raise unless ``sigma^-1(sigma(b)) == b == sigma(sigma^-1(b))`` for
+    every ``b`` of ``ring.basis_values()``. As sigma claims additivity, that is
+    exact on the span of every sample, at the cost of a few applications."""
+    value, inverse = sigma.value, sigma.inverse_value
+    for b in ring.basis_values():
+        if inverse(value(b)) != b or value(inverse(b)) != b:
+            raise ValueError(
+                f"sigma {index} inverse round trip failed at {RingElement(ring, b)}"
+            )
+
+
 @lru_cache(maxsize=256)
 def _check_commuting(ring: RingDescriptor, sigmas: tuple) -> None:
     """Raise unless every pair of ``sigmas`` commutes on 100 sampled values."""
@@ -197,7 +212,9 @@ class LaurentContext:
 
 @dataclass(frozen=True)
 class IteratedLaurentContext:
-    """Pairwise-commuting invertible twists, one per Laurent variable."""
+    """Pairwise-commuting invertible twists, one per Laurent variable. On
+    entry, each sigma and its inverse must fix 1 exactly and undo each other
+    on the ring's basis values."""
 
     ring: RingDescriptor
     sigmas: tuple[TwistMap, ...]
@@ -206,13 +223,14 @@ class IteratedLaurentContext:
         object.__setattr__(self, "sigmas", tuple(self.sigmas))
         if not self.sigmas:
             raise ValueError("need at least one sigma")
-        for s in self.sigmas:
+        for index, s in enumerate(self.sigmas):
             if s.domain != self.ring:
                 raise ContextMismatch("every sigma must act on the context ring")
             _require_claims(s, {ADDITIVE, RESPECTS_ONE}, "sigma")
             if not s.has_inverse:
                 raise NoInverse("iterated contexts need invertible sigmas")
             _check_unit(self.ring, s)
+            _check_basis_round_trip(self.ring, s, index)
         _check_commuting(self.ring, self.sigmas)
 
     def twists(self, s, n: tuple, exponents) -> dict:

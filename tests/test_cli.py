@@ -4,13 +4,16 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewlab import config as config_module
 from skewlab.cli import main
+from skewlab.maps import SigmaQComplex
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -311,6 +314,26 @@ def test_power_series_sigma_must_respect_one(capsys, cfg, config):
     code, out, err = run(capsys, ["series", "--config", cfg(config), "1"])
     assert (code, out) == (2, "")
     assert err == "error: invalid configuration: sigma map must claim ['respects_one']\n"
+
+
+class FiveInverse(SigmaQComplex):
+    """sigma_q with an inverse that scales the imaginary part by 5."""
+
+    def inverse_value(self, v):
+        return self.domain.scale_imaginary_value(v, Fraction(5))
+
+
+def test_iterated_laurent_refuses_a_sigma_whose_inverse_fails(capsys, cfg, monkeypatch):
+    # Accepted, this sigma would make X2*(X2^-1*i) equal 10*i.
+    monkeypatch.setattr(config_module, "SigmaQComplex", FiveInverse)
+    config = {
+        "ring": {"cayley_dickson": {"level": 1}},
+        "sigmas": [{"kind": "identity"}, {"kind": "sigma_q_complex", "q": "2"}],
+        "structure": "iterated_laurent",
+    }
+    code, out, err = run(capsys, ["eval", "--config", cfg(config), "X2*(X2^-1*i)"])
+    assert (code, out) == (2, "")
+    assert err == "error: invalid configuration: sigma 1 inverse round trip failed at i\n"
 
 
 def test_cayley_dickson_over_poly1_has_units_and_variables(capsys, cfg):

@@ -5,8 +5,12 @@ checks that its sigmas commute, each on a ``Random(0)`` sample. Both results
 are cached on the ring and the maps, so these tests pin what the cache may
 skip (a repeat of a passed check on an equal key) and what it may not (any
 failing check, any map of another class, even one with the same kind, and
-any map whose stored parameters differ).
+any map whose stored parameters differ). ``IteratedLaurentContext`` also
+checks each sigma's inverse round trip on the ring's basis values, which
+draws nothing.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -48,7 +52,8 @@ class SwapVariables(IdentityMap):
     """Claims what the identity claims, but swaps the two variables."""
 
     def value(self, v):
-        return self.domain.canon([((b, y), c) for (y, b), c in v])
+        terms = self.domain.flat_terms(v)
+        return self.domain.canon([((b, y), c) for (y, b), c in terms])
 
     inverse_value = value
 
@@ -139,3 +144,26 @@ def test_maps_compare_by_their_stored_parameters(draws):
     assert len(draws) == 400
     with pytest.raises(ContextMismatch):
         LaurentPoly.x(first) + LaurentPoly.x(second)
+
+
+class FiveInverse(SigmaQComplex):
+    """sigma_q with an inverse that scales the imaginary part by 5."""
+
+    def inverse_value(self, v):
+        return self.domain.scale_imaginary_value(v, Fraction(5))
+
+
+def test_iterated_contexts_check_each_inverse_round_trip_on_a_basis(draws):
+    with pytest.raises(ValueError, match="round trip failed"):
+        LaurentContext(COMPLEX_Q, FiveInverse(2))
+    sampled = len(draws)
+    for sigmas in ((FiveInverse(2),), (SigmaQComplex(3), FiveInverse(2))):
+        index = len(sigmas) - 1
+        with pytest.raises(
+            ValueError, match=f"^sigma {index} inverse round trip failed at i$"
+        ):
+            IteratedLaurentContext(COMPLEX_Q, sigmas)
+    # The basis pass draws nothing: the span of the basis holds every sample.
+    assert len(draws) == sampled
+    IteratedLaurentContext(COMPLEX_Q, (SigmaQComplex(2), SigmaQComplex(3)))
+    assert len(draws) == sampled + 100  # the commuting check alone

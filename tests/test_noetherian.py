@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from skewlab import noetherian
 from skewlab.maps import CounterexampleSigma, IdentityMap, ZeroMap
 from skewlab.noetherian import (
     POLY2,
@@ -127,6 +128,51 @@ def test_counterexample_witness_vacuous_flag():
     assert report.vacuous
     assert report.corroborated
     assert "vacuous" in report.conclusion()
+
+
+def test_violations_write_the_combination_that_produced_them(monkeypatch):
+    # Descriptions are rendered only for violations; each must still read as
+    # the sampled left combination, written the way the harness always has.
+    sampled = []
+
+    def recording(name):
+        make = getattr(noetherian, name)
+
+        def wrapped(*args):
+            sampled.append(make(*args))
+            return sampled[-1]
+
+        monkeypatch.setattr(noetherian, name, wrapped)
+
+    class RecordingRandom(Random):
+        def choice(self, seq):
+            sampled.append(super().choice(seq))
+            return sampled[-1]
+
+    recording("_random_ideal_generator")
+    recording("_random_multiplier")
+    monkeypatch.setattr(noetherian, "Random", RecordingRandom)
+    # Every critical term is now a violation, and Y lies outside (Y^2).
+    monkeypatch.setattr(noetherian, "monomial_ideal_member", lambda c, gens: False)
+    report = counterexample_witness(CounterexampleConfig(2, 40, 2, 2, seed=7))
+    expected, rest = set(), sampled
+    while rest:
+        p, shape, *rest = rest
+        if shape == "s*p":
+            s, *rest = rest
+            expected.add(f"({s})*({p})")
+        elif shape == "t1*(t2*p)":
+            t1, t2, *rest = rest
+            expected.add(f"({t1})*(({t2})*({p}))")
+        else:
+            t1, t2, *rest = rest
+            expected.add(f"(({t1})*({t2}))*({p})")
+    described = {v.description for v in report.violations}
+    assert described <= expected
+    assert len(described) > 20
+    assert report.violations == sorted(
+        report.violations, key=lambda v: (v.term_degree, v.coefficient, v.description)
+    )
 
 
 def test_config_validation():

@@ -342,7 +342,7 @@ def test_monomial_ideal_member_matches_brute_force_poly1():
     for coeffs in itertools.product((-1, 0, 1), repeat=5):
         raw = [(e, c) for e, c in zip(exps, coeffs) if c]
         p = element(d, raw)
-        support = [t[0] for t in p.value]
+        support = [t[0] for t in d.flat_terms(p.value)]
         for gens in gen_sets:
             gen_els = [monomial_element(d, g) for g in gens]
             assert monomial_ideal_member(p, gen_els) == brute_member_poly1(
@@ -356,7 +356,7 @@ def test_monomial_ideal_member_matches_brute_force_poly2():
     for coeffs in itertools.product((-1, 0, 1), repeat=len(monos)):
         raw = [(m, c) for m, c in zip(monos, coeffs) if c]
         p = element(Y2, raw)
-        support = [t[0] for t in p.value]
+        support = [t[0] for t in Y2.flat_terms(p.value)]
         for gens in gen_sets:
             gen_els = [mono2(*g) for g in gens]
             expected = all(
@@ -418,6 +418,53 @@ def test_canon_is_idempotent_on_canonical_values(name, seed):
         assert d.canon(v) == v
         if isinstance(d, (CayleyDickson, Matrix)):
             assert d.canon(d.flat_values(v)) == v
+
+
+def coordinates(d, v) -> dict:
+    """The nonzero rational coordinates of ``v``, keyed by their place."""
+    if isinstance(d, JordanPlus):
+        return coordinates(d.base, v)
+    if d == RATIONALS:
+        return {(): v} if v else {}
+    if isinstance(d, (Poly1, Poly2)):
+        return {(e,): c for e, c in d.flat_terms(v)}
+    return {
+        (k, *place): c
+        for k, x in enumerate(d.flat_values(v))
+        for place, c in coordinates(d.base, x).items()
+    }
+
+
+BASIS_SIZES = {
+    "Q": 1,
+    **{f"CD{lv}/Q": 2**lv for lv in range(5)},
+    **{f"CD{lv}/Poly1": 5 * 2**lv for lv in range(5)},
+    "JordanPlus/H": 4,
+    "JordanPlus/Matrix2": 4,
+    "Poly1": 5,
+    "Poly2": 16,
+    "Matrix1": 1,
+    "Matrix2": 4,
+    "Matrix3": 9,
+    "Matrix1/C": 2,
+    "Matrix1/Poly1": 5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_TEST_RINGS))
+def test_basis_values_are_units_whose_span_holds_every_sample(name):
+    d = ZERO_TEST_RINGS[name]
+    basis = d.basis_values()
+    places = set()
+    for b in basis:
+        assert d.canon(b) == b
+        (place, c), = coordinates(d, b).items()
+        assert c == 1 and place not in places
+        places.add(place)
+    assert len(places) == BASIS_SIZES[name]
+    rng = Random(5)
+    for _ in range(100):
+        assert set(coordinates(d, d.sample_value(rng))) <= places
 
 
 BIADDITIVE_RINGS = {
