@@ -56,8 +56,8 @@ class TwistMap:
     Two maps are equal when they are of the same class and their instance
     attributes are equal (:meth:`_key`), so a subclass compares by whatever
     parameters it stores, with nothing to override. Every instance attribute
-    must therefore be hashable. Contexts rely on this equality: they skip a
-    spot check already passed by an equal map on an equal ring.
+    must therefore be hashable. Contexts rely on this equality: they skip an
+    entry check already passed by an equal map on an equal ring.
     """
 
     kind = "abstract"

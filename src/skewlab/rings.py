@@ -382,6 +382,11 @@ def _digit_count(m: int) -> int:
     return k + (m >= 10**k)
 
 
+# Fractions are immutable, so every call may share these.
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+_Q_BASIS = (_Q_ONE,)
+
+
 @dataclass(frozen=True)
 class Rationals(RingDescriptor):
     @property
@@ -396,10 +401,10 @@ class Rationals(RingDescriptor):
         return as_rational(raw)
 
     def zero_value(self):
-        return Fraction(0)
+        return _Q_ZERO
 
     def one_value(self):
-        return Fraction(1)
+        return _Q_ONE
 
     add_values = staticmethod(operator.add)
     neg_value = staticmethod(operator.neg)
@@ -413,7 +418,7 @@ class Rationals(RingDescriptor):
     sample_value = staticmethod(_sample_fraction)
 
     def basis_values(self):
-        return (Fraction(1),)
+        return _Q_BASIS
 
     def render_terms(self, a):
         n, d = a.as_integer_ratio()

@@ -52,14 +52,15 @@ a ring product. Expression leaves such as ``c*X^e``, ``c*X1^a*X2^b`` and
 Polynomials are immutable; the degree of the zero polynomial is the
 ``NEG_INFINITY`` sentinel (and its order ``POS_INFINITY``), never an integer.
 
-The sampled entry checks of :class:`LaurentContext` (inverse round trip) and
-:class:`IteratedLaurentContext` (commuting sigmas) draw from ``Random(0)``,
-so their outcome depends only on the ring and the maps. A passed check is
-cached on that key, with maps compared class-exactly, and is not rerun when
-an equal context is built again in the same process. An iterated context
-also checks each sigma's inverse round trip, not on samples but exactly, on
-the basis values of its ring (``RingDescriptor.basis_values``), whose span
-holds every sample.
+Every Laurent and iterated context runs one entry check,
+:func:`_check_sigmas`: each sigma is additive, fixes 1, and has a bundled
+inverse that fixes 1 and undoes it both ways on every basis value of the
+ring (``RingDescriptor.basis_values``), and every two sigmas commute on
+every basis value. As the sigmas are additive, that is exact on the span of
+the basis, which holds every sample, and it draws nothing. Its outcome
+depends only on the ring and the maps, so a passed check is cached on that
+key, with maps compared class-exactly, and is not rerun when an equal
+context is built again in the same process.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import combinations, islice
 from math import comb
 from operator import add
 from random import Random
@@ -108,8 +109,11 @@ class ContextMismatch(ValueError):
     """Polynomials from different contexts cannot be combined."""
 
 
-def _require_claims(m: TwistMap, needed, role: str):
-    missing = set(needed) - m.claims
+def _require_map(ring: RingDescriptor, m: TwistMap, claims, role: str) -> None:
+    """Raise unless ``m`` acts on ``ring`` and claims every one of ``claims``."""
+    if m.domain != ring:
+        raise ContextMismatch(f"{role} must act on the context ring")
+    missing = set(claims) - m.claims
     if missing:
         raise ValueError(f"{role} map must claim {sorted(missing)}")
 
@@ -123,10 +127,8 @@ class OreContext:
     delta: TwistMap
 
     def __post_init__(self):
-        if self.sigma.domain != self.ring or self.delta.domain != self.ring:
-            raise ContextMismatch("sigma and delta must act on the context ring")
-        _require_claims(self.sigma, {ADDITIVE, RESPECTS_ONE}, "sigma")
-        _require_claims(self.delta, {ADDITIVE, ANNIHILATES_ONE}, "delta")
+        _require_map(self.ring, self.sigma, {ADDITIVE, RESPECTS_ONE}, "sigma")
+        _require_map(self.ring, self.delta, {ADDITIVE, ANNIHILATES_ONE}, "delta")
         if self.sigma.apply(one(self.ring)) != one(self.ring):
             raise ValueError("sigma(1) != 1")
         if not self.delta.apply(one(self.ring)).is_zero():
@@ -139,69 +141,46 @@ class OreContext:
         return {m: [(i + n, v) for i, v in rows[m].items()] for m in exponents}
 
 
-def _check_unit(ring: RingDescriptor, sigma: TwistMap) -> None:
-    """Raise unless ``sigma`` and its inverse both fix 1, exactly."""
-    if sigma.apply(one(ring)) != one(ring):
-        raise ValueError("sigma(1) != 1")
-    if sigma.apply_inverse(one(ring)) != one(ring):
-        raise ValueError("sigma^-1(1) != 1")
-
-
-# The sampled entry checks, cached per (ring, maps) as the module docstring
-# says. A raising call leaves no cache entry, so only passes are remembered.
-
-
+# Cached per (ring, sigmas) as the module docstring says. A raising call
+# leaves no cache entry, so only passes are remembered.
 @lru_cache(maxsize=256)
-def _check_round_trip(ring: RingDescriptor, sigma: TwistMap) -> None:
-    """Raise unless ``sigma^-1(sigma(a)) == a`` on 200 sampled ``a``."""
-    rng = Random(0)
-    for _ in range(200):
-        a = random_element(ring, rng)
-        if sigma.apply_inverse(sigma.apply(a)) != a:
-            raise ValueError(f"sigma inverse round trip failed at {a}")
-
-
-def _check_basis_round_trip(ring: RingDescriptor, sigma: TwistMap, index: int) -> None:
-    """Raise unless ``sigma^-1(sigma(b)) == b == sigma(sigma^-1(b))`` for
-    every ``b`` of ``ring.basis_values()``. As sigma claims additivity, that is
-    exact on the span of every sample, at the cost of a few applications."""
-    value, inverse = sigma.value, sigma.inverse_value
-    for b in ring.basis_values():
-        if inverse(value(b)) != b or value(inverse(b)) != b:
-            raise ValueError(
-                f"sigma {index} inverse round trip failed at {RingElement(ring, b)}"
-            )
-
-
-@lru_cache(maxsize=256)
-def _check_commuting(ring: RingDescriptor, sigmas: tuple) -> None:
-    """Raise unless every pair of ``sigmas`` commutes on 100 sampled values."""
-    rng = Random(0)
-    for i in range(len(sigmas)):
-        for j in range(i + 1, len(sigmas)):
-            si, sj = sigmas[i], sigmas[j]
-            for _ in range(100):
-                a = random_element(ring, rng)
-                if si.apply(sj.apply(a)) != sj.apply(si.apply(a)):
-                    raise ValueError(f"sigmas {i} and {j} fail to commute at {a}")
+def _check_sigmas(ring: RingDescriptor, sigmas: tuple) -> None:
+    """Raise unless every sigma acts on ``ring``, claims additivity and to
+    respect 1, fixes 1, and carries an inverse that fixes 1 and undoes it both
+    ways on every basis value, and unless every two sigmas commute on every
+    basis value."""
+    unit, basis = ring.one_value(), ring.basis_values()
+    for index, s in enumerate(sigmas):
+        _require_map(ring, s, {ADDITIVE, RESPECTS_ONE}, "sigma")
+        if not s.has_inverse:
+            raise NoInverse("Laurent contexts need invertible sigmas")
+        value, inverse = s.value, s.inverse_value
+        if value(unit) != unit:
+            raise ValueError("sigma(1) != 1")
+        if inverse(unit) != unit:
+            raise ValueError("sigma^-1(1) != 1")
+        for b in basis:
+            if inverse(value(b)) != b or value(inverse(b)) != b:
+                raise ValueError(
+                    f"sigma {index} inverse round trip failed at {RingElement(ring, b)}"
+                )
+    for (i, si), (j, sj) in combinations(enumerate(sigmas), 2):
+        for b in basis:
+            if si.value(sj.value(b)) != sj.value(si.value(b)):
+                raise ValueError(
+                    f"sigmas {i} and {j} fail to commute at {RingElement(ring, b)}"
+                )
 
 
 @dataclass(frozen=True)
 class LaurentContext:
-    """Ring plus an invertible sigma. On entry, sigma and its inverse must
-    fix 1 exactly, and the inverse round trip is spot-checked."""
+    """Ring plus an invertible sigma, checked on entry by :func:`_check_sigmas`."""
 
     ring: RingDescriptor
     sigma: TwistMap
 
     def __post_init__(self):
-        if self.sigma.domain != self.ring:
-            raise ContextMismatch("sigma must act on the context ring")
-        _require_claims(self.sigma, {ADDITIVE, RESPECTS_ONE}, "sigma")
-        if not self.sigma.has_inverse:
-            raise NoInverse("a Laurent context needs an invertible sigma")
-        _check_unit(self.ring, self.sigma)
-        _check_round_trip(self.ring, self.sigma)
+        _check_sigmas(self.ring, (self.sigma,))
 
     def twists(self, s, n: int, exponents) -> dict:
         """``{m: [(m + n, sigma^m(s))]}`` on raw values, from one walk of
@@ -212,9 +191,8 @@ class LaurentContext:
 
 @dataclass(frozen=True)
 class IteratedLaurentContext:
-    """Pairwise-commuting invertible twists, one per Laurent variable. On
-    entry, each sigma and its inverse must fix 1 exactly and undo each other
-    on the ring's basis values."""
+    """Pairwise-commuting invertible twists, one per Laurent variable, checked
+    on entry by :func:`_check_sigmas`."""
 
     ring: RingDescriptor
     sigmas: tuple[TwistMap, ...]
@@ -223,15 +201,7 @@ class IteratedLaurentContext:
         object.__setattr__(self, "sigmas", tuple(self.sigmas))
         if not self.sigmas:
             raise ValueError("need at least one sigma")
-        for index, s in enumerate(self.sigmas):
-            if s.domain != self.ring:
-                raise ContextMismatch("every sigma must act on the context ring")
-            _require_claims(s, {ADDITIVE, RESPECTS_ONE}, "sigma")
-            if not s.has_inverse:
-                raise NoInverse("iterated contexts need invertible sigmas")
-            _check_unit(self.ring, s)
-            _check_basis_round_trip(self.ring, s, index)
-        _check_commuting(self.ring, self.sigmas)
+        _check_sigmas(self.ring, self.sigmas)
 
     def twists(self, s, n: tuple, exponents) -> dict:
         """``{u: [(u + n, sigma_1^(u_1) o ... o sigma_k^(u_k) (s))]}`` on raw

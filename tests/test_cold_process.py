@@ -1,7 +1,7 @@
 """A slice of the CLI goldens, each run in a fresh interpreter.
 
 ``test_golden.py`` calls ``cli.main`` in one process, where later cases reuse
-the parser and the contexts' cached spot checks. These cases run ``python -m
+the parser and the contexts' cached entry check. These cases run ``python -m
 skewlab`` from nothing, so the first-use path is pinned byte for byte too.
 """
 
