@@ -29,6 +29,17 @@ lets precision enter only through tail markers (or, if none appears, the
 session precision applied to the final value). Each run of ``+``/``-`` over
 polynomials is canonicalised once, so evaluating a flat sum is linear in its
 number of terms.
+
+In the twisted structures only indeterminates and tail markers become
+polynomials or series windows. Every other leaf stays an element of the
+coefficient ring R, and a constant sub-expression is evaluated in R, in the
+tree's own order. That is exact, and needs no associativity: R sits in each
+structure as its degree-0 part, where sums are coefficientwise and
+``(r X^0)(s X^0) = (r * pi_0^0(s)) X^0 = (rs) X^0`` (``pi_0^0`` and
+``sigma^0`` are the identity), so ``r -> r X^0`` keeps ``+``, ``-`` and
+``*``. Likewise ``(r X^0)(1 X^e) = r X^e``, so ``c*X^e`` is built as its one
+term, with no product. A constant becomes a polynomial only where it meets
+one in any other way, and a constant result once, at the end.
 """
 
 from __future__ import annotations
@@ -523,6 +534,8 @@ def evaluate(node, target: EvalTarget):
     if structure == "element":
         return eval_element(node, target.ring)
     value = _walk(node, _poly_leaf(target))
+    if type(value) is RingElement:
+        value = _lift(value, target)
     if structure in SERIES_STRUCTURES and not isinstance(value, TruncatedSeries):
         value = TruncatedSeries.from_poly(value, target.precision)
     return value
@@ -538,9 +551,12 @@ def _walk(node, leaf):
     A run of ``+``/``-`` whose operands are polynomials of one class and
     context is gathered into one term list and canonicalised once, so an
     n-term sum costs one ``sum_terms`` pass over its n terms rather than n
-    passes over a growing prefix. A ``*``, a series operand or any other
-    mismatch ends the run; that operand then goes through :func:`_combine`,
-    which keeps the series precision rules and the context errors.
+    passes over a growing prefix. A constant (a ``RingElement``) that meets a
+    polynomial in a run joins it as its one term, so ``1 + X + 2 + X^2``
+    stays one run. A ``*``, a series operand or any other mismatch ends the
+    run; that operand then goes through :func:`_combine`, which folds
+    constants in the coefficient ring and keeps the series precision rules
+    and the context errors.
     """
     spine = []
     while isinstance(node, Bin):
@@ -550,26 +566,42 @@ def _walk(node, leaf):
     run = None  # the pending terms of ``value`` while a run lasts
     for b in reversed(spine):
         right = _walk(b.right, leaf)
-        if b.op != "*" and _same_carrier(value, right):
-            if run is None:
-                run = list(value.terms)
-            if b.op == "+":
-                run.extend(right.terms)
-            else:
-                run.extend((e, -c) for e, c in right.terms)
-            continue
+        if b.op != "*":
+            if type(right) is RingElement and _is_poly(value):
+                right = _lift(right, value)
+            elif type(value) is RingElement and _is_poly(right):
+                value = _lift(value, right)
+            if _same_carrier(value, right):
+                if run is None:
+                    run = list(value.terms)
+                if b.op == "+":
+                    run.extend(right.terms)
+                else:
+                    run.extend((e, -c) for e, c in right.terms)
+                continue
         value, run = _close_run(value, run), None
         value = _combine(b.op, value, right)
     return _close_run(value, run)
 
 
+def _is_poly(a) -> bool:
+    """Whether ``a`` is a polynomial: not a constant, not a series window.
+    Series windows share the carrier but not the additive runs (a sum keeps
+    the least precision), so they go through :func:`_combine`."""
+    return isinstance(a, _TermPoly) and type(a) is not TruncatedSeries
+
+
 def _same_carrier(a, b) -> bool:
     """Whether ``a`` and ``b`` are polynomials that add term list to term
-    list: the same class over the same context. Series windows share the
-    carrier but not this rule (a sum keeps the least precision), so they
-    go through :func:`_combine`."""
-    same = isinstance(a, _TermPoly) and type(a) is type(b) is not TruncatedSeries
-    return same and a.context == b.context
+    list: the same class over the same context."""
+    return _is_poly(a) and type(a) is type(b) and a.context == b.context
+
+
+def _lift(c: RingElement, where):
+    """The constant ``c`` as the constant polynomial ``c X^0`` over the
+    context of ``where``, a polynomial, a series window or a target."""
+    ctx = where.context
+    return poly_class(ctx).constant(ctx, c)
 
 
 def _close_run(value, run):
@@ -578,7 +610,18 @@ def _close_run(value, run):
 
 
 def _combine(op: str, a, b):
-    """``a op b``, reading a polynomial that meets a series as a series."""
+    """``a op b``. Two constants fold in the coefficient ring (:func:`_fold`);
+    a constant ``c`` times ``1 X^e`` is the one term ``c X^e``; any other
+    constant is lifted to ``c X^0`` first (the module docstring says why all
+    three agree). A polynomial that meets a series is read as a series."""
+    if type(a) is RingElement:
+        if type(b) is RingElement:
+            return _fold(op, a, b)
+        if op == "*" and (e := _unit_power(b, a.descriptor)) is not None:
+            return type(b)(b.context, ((e, a),) if a else ())
+        a = _lift(a, b)
+    elif type(b) is RingElement:
+        b = _lift(b, a)
     a_series = isinstance(a, TruncatedSeries)
     b_series = isinstance(b, TruncatedSeries)
     if op == "*":
@@ -592,6 +635,35 @@ def _combine(op: str, a, b):
     elif b_series and not a_series:
         a = TruncatedSeries.from_poly(a, b.precision)
     return a + b if op == "+" else a - b
+
+
+def _fold(op: str, a: RingElement, b: RingElement) -> RingElement:
+    """``a op b`` in the coefficient ring. A rational factor ``q*1``
+    (``RingDescriptor.scalar_of``) on either side scales the other factor
+    and makes no ring product."""
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    ring = a.descriptor
+    q = ring.scalar_of(a.value)
+    if q is not None:
+        return b.scale(q)
+    q = ring.scalar_of(b.value)
+    return a * b if q is None else a.scale(q)
+
+
+def _unit_power(p, ring: RingDescriptor):
+    """``e`` when ``p`` is the polynomial ``1 X^e`` over ``ring`` (``e`` an
+    exponent vector in iterated structures), else ``None``. A series window
+    is never one: its product keeps the window's precision rule."""
+    if len(p.terms) != 1 or type(p) is TruncatedSeries:
+        return None
+    e, c = p.terms[0]
+    ctx_ring = p.context.ring
+    if (ctx_ring is ring or ctx_ring == ring) and c.value == ring.one_value():
+        return e
+    return None
 
 
 def _element_leaf(ring: RingDescriptor):
@@ -627,8 +699,9 @@ def _element_leaf(ring: RingDescriptor):
 
 def _poly_leaf(target: EvalTarget):
     """Leaf lifter for the twisted structures: indeterminates become their
-    polynomials, ``O(X^p)`` an empty series window, and every other leaf a
-    constant polynomial."""
+    polynomials and ``O(X^p)`` an empty series window. Every other leaf is
+    its ``RingElement``, which the walker keeps in the coefficient ring until
+    it meets a polynomial (see the module docstring for why that is exact)."""
     structure = target.structure
     ctx = target.context
     cls = poly_class(ctx)
@@ -648,6 +721,6 @@ def _poly_leaf(target: EvalTarget):
             if structure not in SERIES_STRUCTURES:
                 raise EvalError("the O(X^p) marker belongs to series structures")
             return TruncatedSeries.zero(ctx, node.precision)
-        return cls.constant(ctx, element_leaf(node))
+        return element_leaf(node)
 
     return leaf

@@ -811,23 +811,34 @@ class _PolyRing(RingDescriptor):
         """The value ``sum(w * c * m')`` over the terms ``c*m`` of ``a``, where
         ``rule(m)`` is ``(m', wn, wd)`` for the nonzero rational weight ``w =
         wn / wd``, ``wd > 0``, or ``None`` to drop the term: how the maps on a
-        polynomial ring read and rebuild a value."""
+        polynomial ring read and rebuild a value.
+
+        Terms whose images meet are merged. Otherwise the terms are only
+        sorted by image, and when, besides, no term is dropped and every
+        weight is 1 (a permutation of the monomials), the numerators and the
+        denominator are already in lowest terms and are kept as they are."""
         exps, nums, den = a
         images = list(map(rule, exps))
-        if None in images:  # dropped terms
+        whole = None not in images
+        if not whole:  # dropped terms
             nums = [n for r, n in zip(images, nums) if r is not None]
             images = [r for r in images if r is not None]
         if not images:
             return (), (), 1
         new, wns, wds = zip(*images)
-        wden = lcm(*wds)
-        nums = [n * wn * (wden // wd) for n, wn, wd in zip(nums, wns, wds)]
-        if all(map(operator.lt, new, new[1:])):  # no two images meet
-            return (new, *_vec(nums, den * wden))
-        acc: dict = {}
-        for e, n in zip(new, nums):
-            acc[e] = acc.get(e, 0) + n
-        return _poly(acc, den * wden)
+        unit = whole and wns.count(1) + wds.count(1) == 2 * len(wns)
+        if not unit:
+            wden = lcm(*wds)
+            nums = [n * wn * (wden // wd) for n, wn, wd in zip(nums, wns, wds)]
+            den *= wden
+        if not all(map(operator.lt, new, new[1:])):
+            if len(set(new)) < len(new):  # two images meet
+                acc: dict = {}
+                for e, n in zip(new, nums):
+                    acc[e] = acc.get(e, 0) + n
+                return _poly(acc, den)
+            new, nums = zip(*sorted(zip(new, nums)))
+        return (new, tuple(nums), den) if unit else (new, *_vec(nums, den))
 
     def add_values(self, a, b):
         ae, an, ad = a

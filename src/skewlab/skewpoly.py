@@ -36,8 +36,7 @@ the coefficient ring, so the kernel itself does no per-pair coefficient
 arithmetic. Nothing is recomputed per term pair.
 
 Two shapes of product, and only these two, need neither a twist table nor
-a ring product. Expression leaves such as ``c*X^e``, ``c*X1^a*X2^b`` and
-``5/3*i`` are made of them:
+a ring product:
 
 * a unit right factor ``1 X^n``. Every context checks ``sigma(1) = 1`` and
   ``delta(1) = 0`` exactly when it is built, and a Laurent context also
@@ -48,6 +47,14 @@ a ring product. Expression leaves such as ``c*X^e``, ``c*X1^a*X2^b`` and
   coefficient ring is an algebra over the rationals, and ``pi_0^0`` and
   ``sigma^0`` are the identity, so ``(q X^0)(s X^n) = (q s) X^n``: the
   right terms, scaled.
+
+Expression leaves mostly do not reach the kernel. The walker in
+:mod:`skewlab.expr` evaluates a constant sub-expression such as ``5/3*i`` or
+``(2 + 3*Y)`` in the coefficient ring, which is exact because ``pi_0^0`` and
+``sigma^0`` are the identity: ``(r X^0)(s X^0) = (rs) X^0``. It builds
+``c*X^e`` as its one term, as ``(r X^0)(1 X^e) = r X^e``. The shortcuts
+still serve the rest: ``c*X1^a*X2^b`` (a unit right factor ``X2^b``),
+``q*(X + 1)``, ``p*X^n`` and library callers.
 
 Polynomials are immutable; the degree of the zero polynomial is the
 ``NEG_INFINITY`` sentinel (and its order ``POS_INFINITY``), never an integer.

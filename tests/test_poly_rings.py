@@ -21,7 +21,7 @@ from skewlab.maps import (
     FormalDerivative,
     QuantumTorusSigma,
 )
-from skewlab.rings import Poly1, Poly2, RingElement, element
+from skewlab.rings import Poly1, Poly2, RingElement, _poly, element
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -287,3 +287,33 @@ def test_poly_maps_match_the_fraction_formulas(name, data, seed):
         if backward is not None:
             assert terms(m.inverse_value(v)) == backward(terms(v))
             assert_canonical(ring, m.inverse_value(v))
+
+
+def merged(v, image):
+    """``_PolyRing.map_terms``'s merge path for a weight-1 exponent map: the
+    numerators summed by image in a dict, then sorted and reduced."""
+    acc = {}
+    for e, n in zip(*v[:2]):
+        e = image(*e)
+        acc[e] = acc.get(e, 0) + n
+    return _poly(acc, v[2])
+
+
+def test_counterexample_sigma_permutes_terms_as_the_merge_path_does():
+    # The map only permutes monomials, so map_terms sorts the terms by image
+    # and keeps the numerators and the denominator; images that meet still
+    # merge.
+    ring, rng = SIGMA.domain, Random(17)
+    reordered = 0
+    for _ in range(300):
+        v = ring.sample_value(rng)
+        for apply, image in (
+            (SIGMA.value, SIGMA.image_exponents),
+            (SIGMA.inverse_value, SIGMA.preimage_exponents),
+        ):
+            assert apply(v) == merged(v, image)
+            images = [image(*e) for e in v[0]]
+            reordered += images != sorted(images)
+    assert reordered > 20  # 40 of the 600 applications reorder the terms
+    v = ring.canon({(0, 1): 2, (1, 0): F(1, 2), (2, 2): -3})
+    assert ring.map_terms(v, lambda e: ((0, 0), 1, 1)) == ring.canon({(0, 0): F(-1, 2)})

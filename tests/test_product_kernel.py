@@ -20,7 +20,9 @@ checked against the same references. A unit right factor ``X^n`` (a shift)
 and a rational left factor ``q*1`` (a scaling) build no twist table and make
 no ring product; they are checked on every kind of coefficient ring, and
 ``c*X^e`` leaves may make no ``twists``, ``mul_values`` or ``dot_values``
-call.
+call. The expression walker evaluates the constant of such a leaf in the
+coefficient ring and builds the leaf as one term, so a leaf whose constant
+is a sum or a product of constants makes no ``twisted_product`` call.
 """
 
 from fractions import Fraction
@@ -31,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewlab import series, skewpoly
 from skewlab.config import load_session
 from skewlab.maps import (
     CoefficientDoubler,
@@ -463,6 +466,35 @@ def test_constant_leaves_build_no_twist_table(monkeypatch, config, leaf, text):
                 monkeypatch.setattr(cls, name, ring_op)
     assert str(session.evaluate(leaf)) == text
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "config, leaf, text",
+    [
+        ("weyl.json", "(2 + 3*Y)*X^5", "(2 + 3*Y)*X^5"),
+        ("quaternion_conjugation_ore.json", "(1/2 - 3*k)*X^4", "(1/2 - 3*k)*X^4"),
+        ("complex_sigma2_laurent.json", "(1/2 + 3*i)*(2 - i)*X^-3", "(4 + 11/2*i)*X^-3"),
+        ("complex_sigma2_laurent.json", "2*(3*i)*X", "6*i*X"),
+    ],
+)
+def test_leaves_with_compound_constants_make_no_twisted_product(
+    monkeypatch, config, leaf, text
+):
+    # The constant of a c*X^e leaf, a sum or a product of constants, is
+    # evaluated in the coefficient ring, and c*X^e is built as its one term.
+    session = load_session(CONFIGS / config)
+    calls = []
+
+    def counting(*args, _real=twisted_product):
+        calls.append(args)
+        return _real(*args)
+
+    for module in (skewpoly, series):
+        monkeypatch.setattr(module, "twisted_product", counting)
+    assert str(session.evaluate(leaf)) == text
+    assert calls == []
+    session.evaluate(f"{leaf}*X")
+    assert calls  # the patch is live
 
 
 # --- the kernel's own coefficient work ------------------------------------------
