@@ -1,5 +1,11 @@
 """Command line: evaluate expressions, divide, run suites and demos.
 
+The value commands (``eval``, ``mul``, ``associator``, ``series``) are one
+table, ``_VALUE_COMMANDS``: each names its expression arguments and how their
+values combine, and one function loads the session, evaluates them left to
+right, combines them and prints the result. Every command prints through
+``_emit``, as text or as JSON.
+
 Exit codes: 0 on success, 1 when a check suite or demo finds a violation,
 2 on usage, configuration, parse, or evaluation errors. Output with a fixed
 seed is byte-identical between runs; JSON output is sorted and indented.
@@ -23,6 +29,27 @@ from .suites import SUITE_NAMES, run_suite
 _USER_ERRORS = (ValueError, NotInvertible)
 
 
+# The value commands: help text, the names of the expression arguments, and
+# how their values, evaluated left to right, combine into the one printed.
+# ``poly_associator`` is looked up per call, so a wrapper installed on this
+# module's global (as the benchmark's tracer does) sees the call.
+_VALUE_COMMANDS = {
+    "eval": ("evaluate one expression", ("expression",), lambda value: value),
+    "mul": (
+        "multiply two expressions (left times right)", ("left", "right"),
+        lambda a, b: a * b,
+    ),
+    "associator": (
+        "compute (a*b)*c - a*(b*c) for three expressions", ("a", "b", "c"),
+        lambda a, b, c: poly_associator(a, b, c),
+    ),
+    "series": (
+        "evaluate in a series structure (accepts O(X^p) markers)", ("expression",),
+        lambda value: value,
+    ),
+}
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use."""
@@ -40,22 +67,16 @@ def build_parser() -> argparse.ArgumentParser:
                        required=config_required)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_eval = sub.add_parser("eval", help="evaluate one expression")
-    add_common(p_eval)
-    p_eval.add_argument("expression")
+    def add_value_command(name):
+        help_text, arg_names, _ = _VALUE_COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_common(p)
+        for arg in arg_names:
+            p.add_argument(arg)
+        return p
 
-    p_mul = sub.add_parser("mul", help="multiply two expressions (left times right)")
-    add_common(p_mul)
-    p_mul.add_argument("left")
-    p_mul.add_argument("right")
-
-    p_assoc = sub.add_parser(
-        "associator", help="compute (a*b)*c - a*(b*c) for three expressions"
-    )
-    add_common(p_assoc)
-    p_assoc.add_argument("a")
-    p_assoc.add_argument("b")
-    p_assoc.add_argument("c")
+    for name in ("eval", "mul", "associator"):
+        add_value_command(name)
 
     p_div = sub.add_parser(
         "divide", help="right-divide a dividend by generators, with a replayed trace"
@@ -64,13 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_div.add_argument("dividend")
     p_div.add_argument("generators", nargs="+")
 
-    p_series = sub.add_parser(
-        "series", help="evaluate in a series structure (accepts O(X^p) markers)"
+    add_value_command("series").add_argument(
+        "--precision", type=int, default=None, help="override the session precision"
     )
-    add_common(p_series)
-    p_series.add_argument("expression")
-    p_series.add_argument("--precision", type=int, default=None,
-                          help="override the session precision")
 
     p_check = sub.add_parser("check", help="run a property suite")
     add_common(p_check, config_required=False)
@@ -98,8 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_json(payload: dict):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(args, payload: dict, text: str) -> None:
+    """Print ``payload`` as sorted, indented JSON under ``--format json``,
+    else ``text``."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    print(text)
 
 
 def _session(args) -> Session:
@@ -108,47 +129,28 @@ def _session(args) -> Session:
     return load_session(args.config)
 
 
-def _value_payload(command: str, session: Session, inputs, value) -> dict:
-    return {
-        "command": command,
+def _cmd_value(args) -> int:
+    session = _session(args)
+    if args.command == "series":
+        if session.structure not in SERIES_STRUCTURES:
+            raise ConfigError(
+                f"series needs a {' or '.join(SERIES_STRUCTURES)} structure"
+            )
+        if args.precision is not None:
+            if args.precision < 1:
+                raise ConfigError("precision must be >= 1")
+            target = replace(session.target, precision=args.precision)
+            session = replace(session, target=target, precision=args.precision)
+    _, arg_names, combine = _VALUE_COMMANDS[args.command]
+    inputs = [getattr(args, name) for name in arg_names]
+    value = str(combine(*[session.evaluate(text) for text in inputs]))
+    payload = {
+        "command": args.command,
         "structure": session.structure,
-        "inputs": list(inputs),
-        "value": str(value),
+        "inputs": inputs,
+        "value": value,
     }
-
-
-def _cmd_eval(args) -> int:
-    session = _session(args)
-    value = session.evaluate(args.expression)
-    if args.format == "json":
-        _emit_json(_value_payload("eval", session, [args.expression], value))
-    else:
-        print(value)
-    return 0
-
-
-def _cmd_mul(args) -> int:
-    session = _session(args)
-    value = session.evaluate(args.left) * session.evaluate(args.right)
-    if args.format == "json":
-        _emit_json(_value_payload("mul", session, [args.left, args.right], value))
-    else:
-        print(value)
-    return 0
-
-
-def _cmd_associator(args) -> int:
-    session = _session(args)
-    a = session.evaluate(args.a)
-    b = session.evaluate(args.b)
-    c = session.evaluate(args.c)
-    value = poly_associator(a, b, c)
-    if args.format == "json":
-        _emit_json(
-            _value_payload("associator", session, [args.a, args.b, args.c], value)
-        )
-    else:
-        print(value)
+    _emit(args, payload, value)
     return 0
 
 
@@ -160,51 +162,28 @@ def _cmd_divide(args) -> int:
     generators = [session.evaluate(g) for g in args.generators]
     trace = right_divide(dividend, generators)
     replay_exact = trace.replay(generators) == dividend
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "divide",
-                "structure": session.structure,
-                "dividend": args.dividend,
-                "generators": list(args.generators),
-                "remainder": str(trace.remainder),
-                "steps": [
-                    {
-                        "generator": s.generator_index,
-                        "shift": s.shift,
-                        "multipliers": [str(s.multiplier)],
-                    }
-                    for s in trace.steps
-                ],
-                "replay_exact": replay_exact,
-            }
-        )
-    else:
-        print(f"remainder: {trace.remainder}")
-        for idx, s in enumerate(trace.steps, 1):
-            print(
-                f"step {idx}: generator {s.generator_index}, "
-                f"shift {s.shift}, multiplier {s.multiplier}"
-            )
-        print(f"replay: {'exact' if replay_exact else 'MISMATCH'}")
+    remainder = str(trace.remainder)
+    steps = [(s.generator_index, s.shift, str(s.multiplier)) for s in trace.steps]
+    payload = {
+        "command": "divide",
+        "structure": session.structure,
+        "dividend": args.dividend,
+        "generators": list(args.generators),
+        "remainder": remainder,
+        "steps": [
+            {"generator": g, "shift": shift, "multipliers": [multiplier]}
+            for g, shift, multiplier in steps
+        ],
+        "replay_exact": replay_exact,
+    }
+    lines = [f"remainder: {remainder}"]
+    lines += [
+        f"step {idx}: generator {g}, shift {shift}, multiplier {multiplier}"
+        for idx, (g, shift, multiplier) in enumerate(steps, 1)
+    ]
+    lines.append(f"replay: {'exact' if replay_exact else 'MISMATCH'}")
+    _emit(args, payload, "\n".join(lines))
     return 0 if replay_exact else 1
-
-
-def _cmd_series(args) -> int:
-    session = _session(args)
-    if session.structure not in SERIES_STRUCTURES:
-        raise ConfigError(f"series needs a {' or '.join(SERIES_STRUCTURES)} structure")
-    if args.precision is not None:
-        if args.precision < 1:
-            raise ConfigError("precision must be >= 1")
-        target = replace(session.target, precision=args.precision)
-        session = replace(session, target=target, precision=args.precision)
-    value = session.evaluate(args.expression)
-    if args.format == "json":
-        _emit_json(_value_payload("series", session, [args.expression], value))
-    else:
-        print(value)
-    return 0
 
 
 def _cmd_check(args) -> int:
@@ -217,10 +196,7 @@ def _cmd_check(args) -> int:
         n=args.n,
         m=args.m,
     )
-    if args.format == "json":
-        _emit_json(report.to_dict())
-    else:
-        print(report.to_text())
+    _emit(args, report.to_dict(), report.to_text())
     return 0 if report.passed else 1
 
 
@@ -233,19 +209,13 @@ def _cmd_demo(args) -> int:
         seed=args.seed,
     )
     report = counterexample_witness(cfg)
-    if args.format == "json":
-        _emit_json(report.to_dict())
-    else:
-        print(report.to_text())
+    _emit(args, report.to_dict(), report.to_text())
     return 0 if report.corroborated else 1
 
 
 _COMMANDS = {
-    "eval": _cmd_eval,
-    "mul": _cmd_mul,
-    "associator": _cmd_associator,
+    **dict.fromkeys(_VALUE_COMMANDS, _cmd_value),
     "divide": _cmd_divide,
-    "series": _cmd_series,
     "check": _cmd_check,
     "demo": _cmd_demo,
 }

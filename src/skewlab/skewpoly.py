@@ -59,11 +59,11 @@ still serve the rest: ``c*X1^a*X2^b`` (a unit right factor ``X2^b``),
 Polynomials are immutable; the degree of the zero polynomial is the
 ``NEG_INFINITY`` sentinel (and its order ``POS_INFINITY``), never an integer.
 
-Every Laurent and iterated context runs one entry check,
-:func:`_check_sigmas`: each sigma is additive, fixes 1, and has a bundled
-inverse that fixes 1 and undoes it both ways on every basis value of the
-ring (``RingDescriptor.basis_values``), and every two sigmas commute on
-every basis value. As the sigmas are additive, that is exact on the span of
+Every Laurent and iterated context, and every Ore context whose sigma
+carries an inverse, runs one entry check, :func:`_check_sigmas`: each sigma
+is additive, fixes 1, and has a bundled inverse that fixes 1 and undoes it
+both ways on every basis value of the ring (``RingDescriptor.basis_values``),
+and every two sigmas commute on every basis value. As the sigmas are additive, that is exact on the span of
 the basis, which holds every sample, and it draws nothing. Its outcome
 depends only on the ring and the maps, so a passed check is cached on that
 key, with maps compared class-exactly, and is not rerun when an equal
@@ -127,7 +127,8 @@ def _require_map(ring: RingDescriptor, m: TwistMap, claims, role: str) -> None:
 
 @dataclass(frozen=True)
 class OreContext:
-    """Ring plus (sigma, delta); unit behavior is checked exactly on entry."""
+    """Ring plus (sigma, delta); unit behavior is checked exactly on entry,
+    and a sigma that carries an inverse gets :func:`_check_sigmas`."""
 
     ring: RingDescriptor
     sigma: TwistMap
@@ -136,7 +137,9 @@ class OreContext:
     def __post_init__(self):
         _require_map(self.ring, self.sigma, {ADDITIVE, RESPECTS_ONE}, "sigma")
         _require_map(self.ring, self.delta, {ADDITIVE, ANNIHILATES_ONE}, "delta")
-        if self.sigma.apply(one(self.ring)) != one(self.ring):
+        if self.sigma.has_inverse:
+            _check_sigmas(self.ring, (self.sigma,))
+        elif self.sigma.apply(one(self.ring)) != one(self.ring):
             raise ValueError("sigma(1) != 1")
         if not self.delta.apply(one(self.ring)).is_zero():
             raise ValueError("delta(1) != 0")

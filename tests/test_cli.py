@@ -1,5 +1,6 @@
 """Command-line tests: subcommands, exit codes, deterministic output."""
 
+import argparse
 import io
 import json
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlab import config as config_module
-from skewlab.cli import main
+from skewlab.cli import build_parser, main
 from skewlab.maps import SigmaQComplex
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -530,3 +531,73 @@ def test_fuzzed_expressions_exit_cleanly(command, config, expression):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith(("error: ", "usage: "))
+
+
+def _parser_surface(parser, name="skewlab"):
+    """``{command path: [(option strings, dest, default, choices, required,
+    nargs), ...]}`` for ``parser`` and every subparser below it."""
+    rows, subs = [], {}
+    for action in parser._actions:
+        choices = None if action.choices is None else list(action.choices)
+        rows.append((action.option_strings, action.dest, action.default, choices,
+                     action.required, action.nargs))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub_name, sub in action.choices.items():
+                subs.update(_parser_surface(sub, f"{name} {sub_name}"))
+    return {name: rows, **subs}
+
+
+_HELP = (["-h", "--help"], "help", argparse.SUPPRESS, None, False, 0)
+_FORMAT = (["--format"], "format", "text", ["text", "json"], False, None)
+_CONFIG = (["--config"], "config", None, None, True, None)
+
+
+def _positional(dest, choices=None, nargs=None):
+    return ([], dest, None, choices, True, nargs)
+
+
+# Help text is left out: its layout differs between Python versions.
+PARSER_SURFACE = {
+    "skewlab": [
+        _HELP,
+        _positional("command", ["eval", "mul", "associator", "divide", "series",
+                                "check", "demo"], argparse.PARSER),
+    ],
+    "skewlab eval": [_HELP, _CONFIG, _FORMAT, _positional("expression")],
+    "skewlab mul": [_HELP, _CONFIG, _FORMAT, _positional("left"),
+                    _positional("right")],
+    "skewlab associator": [_HELP, _CONFIG, _FORMAT, _positional("a"),
+                           _positional("b"), _positional("c")],
+    "skewlab divide": [_HELP, _CONFIG, _FORMAT, _positional("dividend"),
+                       _positional("generators", nargs="+")],
+    "skewlab series": [
+        _HELP, _CONFIG, _FORMAT, _positional("expression"),
+        (["--precision"], "precision", None, None, False, None),
+    ],
+    "skewlab check": [
+        _HELP,
+        (["--config"], "config", None, None, False, None),
+        _FORMAT,
+        _positional("suite", ["ring-axioms", "map-claims", "nucleus",
+                              "associativity-dichotomy", "division-roundtrip",
+                              "series-precision", "counterexample"]),
+        (["--trials"], "trials", 200, None, False, None),
+        (["--seed"], "seed", 0, None, False, None),
+        (["--n"], "n", None, None, False, None),
+        (["--m"], "m", None, None, False, None),
+    ],
+    "skewlab demo": [_HELP, _positional("demo", ["counterexample"], argparse.PARSER)],
+    "skewlab demo counterexample": [
+        _HELP,
+        (["--m"], "m", 2, None, False, None),
+        (["--trials"], "trials", 500, None, False, None),
+        (["--seed"], "seed", 42, None, False, None),
+        (["--multiplier-bound"], "multiplier_bound", 4, None, False, None),
+        (["--coefficient-bound"], "coefficient_bound", 4, None, False, None),
+        _FORMAT,
+    ],
+}
+
+
+def test_cli_parser_surface_is_pinned():
+    assert _parser_surface(build_parser()) == PARSER_SURFACE

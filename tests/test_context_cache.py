@@ -1,13 +1,14 @@
 """Contexts run their entry check once per equal ``(ring, maps)`` key.
 
-``LaurentContext`` and ``IteratedLaurentContext`` both run
-``skewpoly._check_sigmas``: each sigma's inverse round trip, both ways, and
-the commutation of every two sigmas, on the ring's basis values. The check
-draws nothing, and a pass is cached on the ring and the maps, so these tests
-pin what the cache may skip (a repeat of a passed check on an equal key) and
-what it may not (any failing check, any map of another class, even one with
-the same kind, and any map whose stored parameters differ). They read the
-cache's own counts: a miss is a check that ran, a hit one that was skipped.
+``LaurentContext``, ``IteratedLaurentContext`` and an ``OreContext`` whose
+sigma carries an inverse all run ``skewpoly._check_sigmas``: each sigma's
+inverse round trip, both ways, and the commutation of every two sigmas, on
+the ring's basis values. The check draws nothing, and a pass is cached on
+the ring and the maps, so these tests pin what the cache may skip (a repeat
+of a passed check on an equal key) and what it may not (any failing check,
+any map of another class, even one with the same kind, and any map whose
+stored parameters differ). They read the cache's own counts: a miss is a
+check that ran, a hit one that was skipped.
 """
 
 import random
@@ -28,13 +29,18 @@ from skewlab.maps import (
     PowerMap,
     SigmaQComplex,
     TwistMap,
+    ZeroMap,
 )
-from skewlab.rings import COMPLEX_Q, SEDENIONS_Q, Poly2, RingElement
+from skewlab.rings import COMPLEX_Q, SEDENIONS_Q, Poly2, RingElement, basis_element
 from skewlab.skewpoly import (
     ContextMismatch,
     IteratedLaurentContext,
     LaurentContext,
     LaurentPoly,
+    OreContext,
+    OrePoly,
+    left_normal_form,
+    right_divide,
 )
 
 P2 = Poly2()
@@ -108,8 +114,25 @@ def test_equal_contexts_check_once(no_draws):
 def test_shipped_configs_build_their_contexts_without_drawing(path, no_draws):
     load_session(path)
     load_session(path)
-    misses, hits = checks()
-    assert misses == hits
+    # Every shipped sigma carries an inverse, the Ore ones included, so each
+    # config runs one check and its second load reuses it.
+    assert checks() == (1, 1)
+
+
+def test_ore_contexts_check_a_bundled_inverse(monkeypatch):
+    """Right division and left normal forms apply sigma's inverse, so an Ore
+    sigma that carries one gets the Laurent entry check. Without it, a wrong
+    inverse is accepted and breaks both procedures mid-run."""
+    sigma, delta = BrokenInverse(COMPLEX_Q), ZeroMap(COMPLEX_Q)
+    with pytest.raises(ValueError, match="^sigma 0 inverse round trip failed at i$"):
+        OreContext(COMPLEX_Q, sigma, delta)
+    monkeypatch.setattr(skewpoly, "_check_sigmas", lambda ring, sigmas: None)
+    ctx = OreContext(COMPLEX_Q, sigma, delta)
+    i, x = OrePoly.constant(ctx, basis_element(COMPLEX_Q, 1)), OrePoly.x(ctx)
+    with pytest.raises(AssertionError, match="^right division failed to cancel"):
+        right_divide(x * i, [x])
+    with pytest.raises(AssertionError, match="^left normal form failed to reduce"):
+        left_normal_form(i * x)
 
 
 def test_subclass_with_broken_inverse_is_checked_after_its_base():

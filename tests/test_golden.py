@@ -1,22 +1,40 @@
 """Byte-for-byte pins of CLI output and of failing falsifier reports.
 
-``golden/cli.json`` holds outputs captured from a known-good build:
+``golden/cli.json`` holds outputs captured from a known-good build. Its
+``cli`` list is the one table of CLI pins: each case is an argument list, a
+shipped config name, an inline config object or none, and the exact stdout,
+stderr and exit status. It holds
 
-* stdout, stderr and exit status of every check suite on each shipped
-  config at ``--trials 20 --seed 0``, in text and JSON;
-* the counterexample demo at ``--trials 50``;
+* every check suite on each shipped config at ``--trials 20 --seed 0``, in
+  text and JSON, and the counterexample demo at ``--trials 50``;
 * ``eval``/``series``/``mul``/``associator`` inputs that reach every branch
   of the expression evaluator (Ore, Laurent with negative powers, iterated
   Laurent, plain elements, matrix literals, ``O(X^p)`` alone, polynomials
   meeting series on either side of ``+``, ``-`` and ``*``);
-* ``evaluate`` on the two targets no session config builds: a power series
-  over an Ore context and plain elements;
-* the exact report of a failing run of each sampling verifier.
+* the JSON output of ``mul``, ``divide`` and ``series --precision``, and the
+  value commands' refusals in their order (``series`` on a non-series
+  structure before a ``--precision`` below 1, ``divide`` off Ore);
+* the installed-script cases: worked examples over inline configs
+  (octonion Laurent, complex series windows, matrix rings, Cayley-Dickson
+  over ``Q[Y]``, a torus with negative ``q``), parse and print-size errors,
+  refused configs, each with its exact one-line ``error:``, and the check
+  suites at their default seed;
+* every command in README's "Command line" block.
+
+The tests here run each case through ``cli.main`` in-process, writing an
+inline config to a temporary file. CI runs the same cases through the
+installed ``skewlab`` script, from outside the checkout.
+
+The file also pins ``evaluate`` on the two targets no session config builds
+(a power series over an Ore context and plain elements) and the exact report
+of a failing run of each sampling verifier.
 
 A change that alters none of the program's answers leaves every case equal.
 """
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -139,3 +157,18 @@ def test_failing_verifier_report_is_pinned(name):
 def test_golden_file_covers_every_case():
     assert set(GOLDEN["verify"]) == set(VERIFY_CASES)
     assert set(GOLDEN["evaluate"]) == set(EVAL_TARGETS)
+
+
+def test_readme_command_line_examples_are_pinned():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    examples = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("skewlab ")]
+    pinned = [
+        [f"configs/{case['config']}" if a == "{config}" else a for a in case["argv"]]
+        for case in GOLDEN["cli"]
+        if not isinstance(case["config"], dict)
+    ]
+    assert examples
+    assert [argv for argv in examples if argv not in pinned] == []
