@@ -115,12 +115,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict | None, text: str) -> None:
     """Print ``payload`` as sorted, indented JSON under ``--format json``,
     else ``text``."""
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
+
+
+def _emit_report(args, report) -> None:
+    """:func:`_emit` for a suite or witness report; its dict is built only
+    under ``--format json``."""
+    _emit(args, report.to_dict() if args.format == "json" else None, report.to_text())
 
 
 def _session(args) -> Session:
@@ -196,7 +202,7 @@ def _cmd_check(args) -> int:
         n=args.n,
         m=args.m,
     )
-    _emit(args, report.to_dict(), report.to_text())
+    _emit_report(args, report)
     return 0 if report.passed else 1
 
 
@@ -209,7 +215,7 @@ def _cmd_demo(args) -> int:
         seed=args.seed,
     )
     report = counterexample_witness(cfg)
-    _emit(args, report.to_dict(), report.to_text())
+    _emit_report(args, report)
     return 0 if report.corroborated else 1
 
 

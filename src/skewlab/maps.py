@@ -15,7 +15,8 @@ what the hooks return.
 The ``verify_*`` functions are sampling-based falsifiers: each runs its
 sampler through :func:`~skewlab.reports.falsify` and either produces a
 concrete counterexample or reports that no violation was found in N trials.
-They never prove anything.
+A verifier that needs the bundled inverse reports a map without one as a
+zero-trial run. They never prove anything.
 """
 
 from __future__ import annotations
@@ -464,35 +465,28 @@ def verify_injective(m: TwistMap, trials: int, seed: int = 0) -> CheckReport:
 def verify_surjective(m: TwistMap, trials: int, seed: int = 0) -> CheckReport:
     """Witness surjectivity through the bundled inverse: targets round-trip."""
     name = f"{m.kind}:surjective"
-    if not m.has_inverse:
-        return CheckReport(
-            name=name,
-            passed=True,
-            trials=0,
-            seed=seed,
-            message="skipped: no preimage chooser bundled",
-        )
 
     def trial(rng):
         b = random_element(m.domain, rng)
         if m.apply(m.apply_inverse(b)) != b:
             return f"b={b}", "inverse fails to produce a preimage"
 
+    if not m.has_inverse:
+        return falsify(name, 0, seed, trial, "skipped: no preimage chooser bundled")
     return falsify(name, trials, seed, trial,
                    f"preimages found for {trials} sampled targets")
 
 
 def verify_inverse_roundtrip(m: TwistMap, trials: int, seed: int = 0) -> CheckReport:
     name = f"{m.kind}:inverse"
-    if not m.has_inverse:
-        return CheckReport(name=name, passed=True, trials=0, seed=seed,
-                           message="skipped: no inverse")
 
     def trial(rng):
         a = random_element(m.domain, rng)
         if m.apply_inverse(m.apply(a)) != a or m.apply(m.apply_inverse(a)) != a:
             return f"a={a}", "round trip through the inverse failed"
 
+    if not m.has_inverse:
+        return falsify(name, 0, seed, trial, "skipped: no inverse")
     return falsify(name, trials, seed, trial,
                    f"round trip exact on {trials} samples")
 
@@ -522,9 +516,9 @@ def verify_claims(m: TwistMap, trials: int = 200, seed: int = 0) -> list[CheckRe
     out = []
     if RESPECTS_ONE in m.claims or ANNIHILATES_ONE in m.claims:
         out.append(verify_unit_behavior(m))
-    for claim in (ADDITIVE, MULTIPLICATIVE, INJECTIVE, SURJECTIVE):
+    for claim, verify in _CLAIM_VERIFIERS.items():
         if claim in m.claims:
-            out.append(_CLAIM_VERIFIERS[claim](m, trials, seed))
+            out.append(verify(m, trials, seed))
     if m.has_inverse:
         out.append(verify_inverse_roundtrip(m, trials, seed))
     return out

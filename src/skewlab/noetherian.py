@@ -13,15 +13,22 @@ whose delta is zero. There the set of polynomials with every coefficient a
 multiple of Y is a left ideal, yet any left combination of members of degree
 at most m only ever produces degree >= m+1 coefficients inside the ideal
 generated by Y^2 -- and Y is not in that ideal, which is the whole point.
+
+Reports follow the rules of :mod:`skewlab.reports`: the sampled half of
+:func:`sigma_ideal_image_check` runs through
+:func:`~skewlab.reports.falsify`, the one sampling loop, and ``to_dict`` of a
+:class:`Violation` is its fields. :func:`counterexample_witness` keeps its
+own loop because it collects every violation instead of stopping at the
+first, and :class:`WitnessReport` renames its keys for the command line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from random import Random
 
 from .maps import CounterexampleSigma, ZeroMap
-from .reports import CheckReport
+from .reports import CheckReport, falsify
 from .rings import (
     Poly2,
     RingElement,
@@ -90,11 +97,7 @@ class Violation:
     coefficient: str
 
     def to_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "term_degree": self.term_degree,
-            "coefficient": self.coefficient,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -238,45 +241,28 @@ def sigma_ideal_image_check(samples: int, bound: int, seed: int = 0) -> CheckRep
     """Exhaustively check, for every monomial multiple of Y within the bound,
     that its sigma image lands in (Y^2); then spot-check random Y-multiples.
 
-    Monomials outside the Y-ideal make no such claim and are excluded.
+    Monomials outside the Y-ideal make no such claim and are excluded. The
+    report counts the monomials checked (up to the first failing one) plus,
+    once they all pass, the ``samples`` of the :func:`falsify` run.
     """
+    name, escaped = "sigma-ideal-image", "sigma image escaped (Y^2)"
     sigma = CounterexampleSigma(POLY2)
     y2 = _y_monomial(2, 0)
-    checked = 0
-    for a in range(1, bound + 1):
-        for b in range(0, bound + 1):
-            m = _y_monomial(a, b)
-            checked += 1
-            if not monomial_ideal_member(sigma.apply(m), [y2]):
-                return CheckReport(
-                    name="sigma-ideal-image",
-                    passed=False,
-                    trials=checked,
-                    seed=seed,
-                    witness=str(m),
-                    message="sigma image escaped (Y^2)",
-                )
-    rng = Random(seed)
+    checked = bound * (bound + 1)
+    monomials = (_y_monomial(a, b) for a in range(1, bound + 1) for b in range(bound + 1))
+    for i, m in enumerate(monomials, 1):
+        if not monomial_ideal_member(sigma.apply(m), [y2]):
+            return CheckReport(name, False, i, seed, str(m), escaped)
     y = _y_monomial(1, 0)
-    for _ in range(samples):
+
+    def trial(rng):
         h = random_element(POLY2, rng)
-        img = sigma.apply(y * h)
-        if not monomial_ideal_member(img, [y2]):
-            return CheckReport(
-                name="sigma-ideal-image",
-                passed=False,
-                trials=checked + samples,
-                seed=seed,
-                witness=f"Y*({h})",
-                message="sigma image escaped (Y^2)",
-            )
-    return CheckReport(
-        name="sigma-ideal-image",
-        passed=True,
-        trials=checked + samples,
-        seed=seed,
-        message=(
-            f"exhaustive over {checked} monomial multiples of Y (bound {bound}) "
-            f"plus {samples} sampled multiples"
-        ),
+        if not monomial_ideal_member(sigma.apply(y * h), [y2]):
+            return f"Y*({h})", escaped
+
+    report = falsify(
+        name, samples, seed, trial,
+        f"exhaustive over {checked} monomial multiples of Y (bound {bound}) "
+        f"plus {samples} sampled multiples",
     )
+    return replace(report, trials=checked + samples)

@@ -2,14 +2,21 @@
 
 Sampling verifiers are falsifiers, not provers: a passing report means "no
 violation found in N trials", never a proof. Messages are worded accordingly
-and every report carries the seed that reproduces it. Every sampler that
-stops at its first violation runs through :func:`falsify`, so all of them
-draw from one ``Random(seed)`` in the same way.
+and every report carries the seed that reproduces it. Three rules keep the
+reports uniform:
+
+* every sampler that stops at its first violation runs through
+  :func:`falsify`, the one sampling loop, so all of them draw from one
+  ``Random(seed)`` in the same way;
+* a verifier that cannot run on its input reports a skip as a zero-trial
+  :func:`falsify` run: passed, 0 trials, the seed, and the skip message;
+* ``to_dict`` is the dataclass fields (:func:`dataclasses.asdict`), plus the
+  derived ``passed`` of a suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from random import Random
 
 
@@ -23,14 +30,7 @@ class CheckReport:
     message: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "trials": self.trials,
-            "seed": self.seed,
-            "witness": self.witness,
-            "message": self.message,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         status = "ok  " if self.passed else "FAIL"
@@ -52,13 +52,7 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "trials": self.trials,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def to_text(self) -> str:
         lines = [f"suite {self.suite} (trials={self.trials}, seed={self.seed})"]

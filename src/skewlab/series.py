@@ -28,6 +28,7 @@ from random import Random
 
 from .rings import RingElement, draw, one, random_element, random_terms, sum_terms, zero
 from .skewpoly import (  # replay_reduction is re-exported
+    ContextMismatch,
     LaurentContext,
     OreContext,
     _TermPoly,
@@ -182,9 +183,16 @@ def shift_scale(g: TruncatedSeries, k: RingElement, e: int) -> TruncatedSeries:
     return _exact_below(g.context, g.terms, [(e, k)], g.precision + e)
 
 
+def _require_context(p, s: TruncatedSeries) -> None:
+    """A polynomial and a window combine only over one context, as two windows do."""
+    if p.context != s.context:
+        raise ContextMismatch("polynomials come from different contexts")
+
+
 def poly_times_series(p, s: TruncatedSeries) -> TruncatedSeries:
     """Exact polynomial (left) times series: known below ``s.precision +
     order(p)`` since every contributing left factor is exact."""
+    _require_context(p, s)
     if p.is_zero():
         return TruncatedSeries.zero(s.context, s.precision)
     return _exact_below(s.context, p.terms, s.terms, s.precision + p.order())
@@ -193,6 +201,7 @@ def poly_times_series(p, s: TruncatedSeries) -> TruncatedSeries:
 def series_times_poly(s: TruncatedSeries, p) -> TruncatedSeries:
     """Series times exact polynomial (right): known below ``s.precision +
     order(p)``, each right term acting as in :func:`shift_scale`."""
+    _require_context(p, s)
     if p.is_zero():
         return TruncatedSeries.zero(s.context, s.precision)
     return _exact_below(s.context, s.terms, p.terms, s.precision + p.order())

@@ -680,6 +680,18 @@ def replay_reduction(generators, steps, remainder):
     return remainder
 
 
+def require_reducible(ctx, what: str) -> None:
+    """The gate of :func:`right_reduce`: refuse a context whose coefficient
+    ring is not an associative division ring or whose sigma has no inverse.
+    ``what`` names the procedure in the refusal."""
+    if not is_associative_division_ring(ctx.ring):
+        raise UnsupportedDescriptor(
+            f"{what} needs an associative division coefficient ring"
+        )
+    if not ctx.sigma.has_inverse:
+        raise NoInverse(f"{what} needs an invertible sigma")
+
+
 def right_reduce(work, generators, what: str, most=None):
     """``(steps, remainder)``: cancel the lead term ``r X^e`` of ``work`` (a
     polynomial's highest, a window's lowest) until it is zero (exhausted),
@@ -687,15 +699,11 @@ def right_reduce(work, generators, what: str, most=None):
     generator ``g`` whose lead term ``c X^d`` has ``d <= e``: ``g * (s
     X^(e-d))`` leads with ``c sigma^d(s) X^e`` (the top Ore entry ``pi_d^d``
     is ``sigma^d``), so ``s = sigma^(-d)(c^(-1) r)`` cancels ``r X^e``. The
-    gate comes first; ``what`` names the procedure in its refusals.
+    gate, :func:`require_reducible`, comes first; ``what`` names the
+    procedure in its refusals.
     """
     ctx = work.context
-    if not is_associative_division_ring(ctx.ring):
-        raise UnsupportedDescriptor(
-            f"{what} needs an associative division coefficient ring"
-        )
-    if not ctx.sigma.has_inverse:
-        raise NoInverse(f"{what} needs an invertible sigma")
+    require_reducible(ctx, what)
     generators = list(generators)
     for g in generators:
         work._require_same_context(g)

@@ -78,14 +78,25 @@ def test_series_context_validation():
 
 
 def test_windows_over_unequal_contexts_do_not_combine():
+    """Neither two windows nor a polynomial (Laurent or Ore) and a window, in
+    either order, combine over unequal contexts."""
     i = basis_element(COMPLEX_Q, 1)
     a = TruncatedSeries.from_terms(sigma2_ctx(), [(0, i)], 4)
     b = TruncatedSeries.from_terms(
         LaurentContext(COMPLEX_Q, SigmaQComplex(3)), [(0, i)], 4
     )
-    for combine in (lambda p, q: p + q, lambda p, q: p * q):
+    laurent = LaurentPoly.x(sigma2_ctx(), 1)
+    ore = OrePoly.x(OreContext(COMPLEX_Q, SigmaQComplex(2), ZeroMap(COMPLEX_Q)), 1)
+    for combine in (
+        lambda: a + b,
+        lambda: a * b,
+        lambda: poly_times_series(laurent, b),
+        lambda: series_times_poly(b, laurent),
+        lambda: poly_times_series(ore, b),
+        lambda: series_times_poly(b, ore),
+    ):
         with pytest.raises(ContextMismatch, match="different contexts"):
-            combine(a, b)
+            combine()
 
 
 def test_power_series_windows_reject_negative_start():

@@ -11,6 +11,7 @@ Two independent oracles anchor the hard parts:
 import itertools
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -61,6 +62,7 @@ from skewlab.skewpoly import (
     poly_associator,
     polynomial_part,
     random_poly,
+    require_reducible,
     right_divide,
 )
 
@@ -472,8 +474,14 @@ def test_right_divide_reconstruction_random():
 
 def test_right_divide_rejects_bad_inputs():
     ctx = doubler_ctx()  # Poly1 coefficients: not a division ring
-    with pytest.raises(UnsupportedDescriptor):
+    refusal = "^right division needs an associative division coefficient ring$"
+    with pytest.raises(UnsupportedDescriptor, match=refusal):
         right_divide(OrePoly.x(ctx), [OrePoly.one(ctx)])
+    with pytest.raises(UnsupportedDescriptor, match=refusal):
+        require_reducible(ctx, "right division")
+    no_inverse = SimpleNamespace(ring=RATIONALS, sigma=ZeroMap(RATIONALS))
+    with pytest.raises(NoInverse, match="^series reduction needs an invertible sigma$"):
+        require_reducible(no_inverse, "series reduction")
     qctx = quat_conj_ctx()
     with pytest.raises(ValueError):
         right_divide(OrePoly.x(qctx), [OrePoly.zero(qctx)])
